@@ -241,6 +241,8 @@ def _report_text(report: DetectionReport, source: str, residual: float | None) -
 
 def cmd_analyze(args) -> int:
     state, source = _resolve_state(args)
+    if state.n < 2:
+        raise InputError(f"analyze needs at least 2 qubits, got n={state.n}")
     policy = parse_zero_policy(args.zero_policy, args.seed)
     report = exclusion_report(state, policy)
     residual = detector.factorization_residual(state, 0, 1) if state.n == 2 else None

@@ -32,6 +32,7 @@ from .frames import (
 from .statevec import PureState, make_random_haar
 from .tensor import (
     bloch_vector,
+    marginals,
     pair_block,
     reduced_density_pair,
     reduced_density_single,
@@ -69,13 +70,6 @@ def _inplane_sq(block: np.ndarray, R_k: np.ndarray, R_l: np.ndarray) -> float:
     return float(B[0, 0] ** 2 + B[0, 1] ** 2 + B[1, 0] ** 2 + B[1, 1] ** 2)
 
 
-def _pair_blocks(state: PureState) -> dict[tuple[int, int], np.ndarray]:
-    return {
-        (k, l): pair_block(reduced_density_pair(state, k, l))
-        for k, l in combinations(range(state.n), 2)
-    }
-
-
 def m_kl(state: PureState, frames, k: int, l: int) -> float:
     """Sum of the four squared in-plane block entries of pair (k, l) in the
     given frames; always in [0, 2]."""
@@ -87,9 +81,10 @@ def m_kl(state: PureState, frames, k: int, l: int) -> float:
 def m_total(state: PureState, frames) -> float:
     """Sum of m_kl over all qubit pairs in the given frames."""
     _check_frames(state.n, frames)
+    _, blocks = marginals(state)
     return sum(
-        _inplane_sq(block, frames[k], frames[l])
-        for (k, l), block in _pair_blocks(state).items()
+        _inplane_sq(blocks[k, l], frames[k], frames[l])
+        for k, l in combinations(range(state.n), 2)
     )
 
 
@@ -105,9 +100,9 @@ def m_pb(state: PureState, policy: ZeroPolicy | None = None) -> float:
     n = state.n
     if n == 1:
         return 0.0
-    blochs = [bloch_vector(reduced_density_single(state, k)) for k in range(n)]
+    blochs, all_blocks = marginals(state)
     frames = [preferred_frame(b, policy) for b in blochs]
-    blocks = _pair_blocks(state)
+    blocks = {(k, l): all_blocks[k, l] for k, l in combinations(range(n), 2)}
     zero = [k for k, b in enumerate(blochs) if float(np.linalg.norm(b)) <= EPS_BLOCH]
     if policy.mode == MAXIMIZE and zero:
         return _maximize_zero_axes(blocks, frames, zero, policy, n)
@@ -195,9 +190,10 @@ def monogamy_check(state: PureState, frames) -> MonogamyReport:
     if n < 2:
         raise ValueError("monogamy bounds need at least 2 qubits")
     _check_frames(n, frames)
-    blocks = _pair_blocks(state)
+    _, blocks = marginals(state)
     values = {
-        (k, l): _inplane_sq(block, frames[k], frames[l]) for (k, l), block in blocks.items()
+        (k, l): _inplane_sq(blocks[k, l], frames[k], frames[l])
+        for k, l in combinations(range(n), 2)
     }
 
     two_term: dict[tuple[tuple[int, int], tuple[int, int]], float] = {}
@@ -502,7 +498,11 @@ def exclusion_report(state: PureState, policy: ZeroPolicy | None = None) -> Dete
     s_thresholds = {k: s_threshold(n, k) for k in range(2, n)} if n >= 3 else {}
     for k, s in s_thresholds.items():
         # the closed-form threshold must agree with the enumerated verdicts
-        assert (value > s + EPS_DET) == (k not in surviving_ks), (n, k)
+        if (value > s + EPS_DET) != (k not in surviving_ks):
+            raise RuntimeError(
+                f"threshold s_{k} = {s!r} disagrees with the partition enumeration "
+                f"for n={n}, value {value!r}"
+            )
 
     if n >= 3:
         gt = genuine_threshold(n)

@@ -82,7 +82,10 @@ def dicke_max_m_pb(n: int) -> tuple[int, float]:
     e_star = (n - 1) // 2
     value = (n + 1) ** 2 * (n - 1) / (4.0 * n)
     brute = max(dicke_m_pb(n, e) for e in range(n + 1))
-    assert abs(value - brute) <= 1e-9 * max(1.0, value), (n, value, brute)
+    if not abs(value - brute) <= 1e-9 * max(1.0, value):
+        raise RuntimeError(
+            f"closed-form maximum {value!r} disagrees with exhaustive {brute!r} for n={n}"
+        )
     return e_star, value
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statevec import PureState
-from .tensor import bloch_vector, reduced_density_single
+from .tensor import marginals
 
 # Bloch norms at or below this count as "vanishing": far above rounding noise
 # at n <= 20, far below any physically meaningful Bloch length.
@@ -121,10 +121,8 @@ def preferred_frame(b, policy: ZeroPolicy | None = None) -> np.ndarray:
 
 def preferred_frames(state: PureState, policy: ZeroPolicy | None = None) -> list[np.ndarray]:
     """Preferred frame for every qubit of the state."""
-    return [
-        preferred_frame(bloch_vector(reduced_density_single(state, k)), policy)
-        for k in range(state.n)
-    ]
+    bloch, _ = marginals(state)
+    return [preferred_frame(b, policy) for b in bloch]
 
 
 def rotate_block(T: np.ndarray, R_k: np.ndarray, R_l: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -62,7 +63,8 @@ class PureState:
     """Normalized pure state of ``n`` qubits as a dense complex amplitude vector.
 
     The amplitude array is copied and marked read-only; construction fails if
-    the squared norm deviates from 1 by more than ``NORM_TOL``.
+    any amplitude is not finite or the squared norm deviates from 1 by more
+    than ``NORM_TOL``.
     """
 
     n: int
@@ -76,6 +78,8 @@ class PureState:
                 f"amplitude vector must have length 2**{self.n} = {2**self.n}, "
                 f"got shape {amps.shape}"
             )
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite numbers")
         norm_sq = float(np.vdot(amps, amps).real)
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
@@ -171,9 +175,9 @@ def apply_local_unitary(state: PureState, qubit: int, U: np.ndarray) -> PureStat
 def state_from_json_dict(obj: dict) -> PureState:
     """Parse the state-file JSON object {"n": int, "amplitudes": [[re, im], ...]}.
 
-    The norm is validated on load: deviations up to 1e-9 are accepted, up to
-    1e-6 the state is renormalized with a warning, anything beyond is
-    rejected.
+    Every pair must be a two-element list (or tuple) of finite numbers. The
+    norm is validated on load: deviations up to 1e-9 are accepted, up to 1e-6
+    the state is renormalized with a warning, anything beyond is rejected.
     """
     if not isinstance(obj, dict):
         raise ValueError("state file must contain a JSON object")
@@ -187,13 +191,15 @@ def state_from_json_dict(obj: dict) -> PureState:
         raise ValueError(
             f"state file must list exactly 2**{n} = {2**n} amplitude pairs"
         )
+    if not set(map(type, pairs)) <= {list, tuple} or set(map(len, pairs)) != {2}:
+        raise ValueError("amplitudes must be [re, im] number pairs")
     try:
-        arr = np.asarray(pairs, dtype=float)
+        flat = np.fromiter(chain.from_iterable(pairs), dtype=float, count=2 * len(pairs))
     except (TypeError, ValueError):
         raise ValueError("amplitudes must be [re, im] number pairs") from None
-    if arr.shape != (2**n, 2):
-        raise ValueError("amplitudes must be [re, im] number pairs")
-    amps = arr[:, 0] + 1j * arr[:, 1]
+    if not np.isfinite(flat).all():
+        raise ValueError("amplitudes must be finite numbers")
+    amps = flat.view(np.complex128)
     norm = float(np.linalg.norm(amps))
     err = abs(norm - 1.0)
     if err > LOAD_RENORM_TOL:

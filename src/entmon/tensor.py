@@ -1,9 +1,13 @@
 """Reduced density matrices, Bloch vectors, and two-qubit correlation blocks.
 
-The production path reduces the amplitude vector directly (``2**n`` work per
-marginal, no ``2**n x 2**n`` outer product). ``correlation_component`` is a
-deliberately independent cross-check that expands the full operator Kronecker
-product; it exists to validate the fast path and is capped at 10 qubits.
+``marginals`` is the production path: it returns every Bloch vector and every
+3x3 pair block of a state from a handful of passes over the amplitude vector,
+without copying the state per pair (see its docstring for the scheme). The
+per-qubit and per-pair reductions (``reduced_density_single``,
+``reduced_density_pair``, ``bloch_vector``, ``pair_block``) stay public as the
+readable API for a single marginal and as the reference the kernel is tested
+against. ``correlation_component`` is a deliberately independent cross-check
+that expands the full operator Kronecker product; it is capped at 10 qubits.
 
 Pauli index convention throughout: 0 = identity, 1 = x, 2 = y, 3 = z.
 Correlation values are mathematically real; a residual imaginary part above
@@ -11,7 +15,8 @@ Correlation values are mathematically real; a residual imaginary part above
 """
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -97,6 +102,116 @@ def pair_block(rho: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
     T = np.einsum("ab,ijba->ij", rho, PAULI_KRON)
     return _real(T, "correlation block")
+
+
+@lru_cache(maxsize=None)
+def _sign_table(m: int, dtype=np.float64) -> np.ndarray:
+    """(2**m, m + 1) table: a column of ones, then s_j(i) = 1 - 2 * (bit j
+    of i) for the m bits of i, most significant first."""
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    table = np.hstack((np.ones((1 << m, 1)), 1 - 2 * bits)).astype(dtype)
+    table.setflags(write=False)
+    return table
+
+
+def _sign_moments(p: np.ndarray, m: int) -> np.ndarray:
+    """G[a, b] = sum_x p(x) s_a(x) s_b(x) over m bits, with s_0 = 1 and
+    s_{1+j} the sign of bit j: row 0 holds the total and the first
+    moments, G[1:, 1:] the second moments."""
+    h = m // 2
+    P = p.reshape(1 << h, 1 << (m - h))
+    hi = _sign_table(h)
+    lo = _sign_table(m - h)[:, 1:]
+    G = np.empty((m + 1, m + 1))
+    G[: h + 1, : h + 1] = hi.T @ (P.sum(axis=1)[:, None] * hi)
+    G[h + 1 :, h + 1 :] = lo.T @ (P.sum(axis=0)[:, None] * lo)
+    G[: h + 1, h + 1 :] = (hi.T @ P) @ lo
+    G[h + 1 :, : h + 1] = G[: h + 1, h + 1 :].T
+    return G
+
+
+def marginals(state: PureState) -> tuple[np.ndarray, np.ndarray]:
+    """Every Bloch vector and every pair block of a state, in one call.
+
+    Returns ``(bloch, blocks)``: ``bloch[k]`` is qubit k's Bloch vector
+    (shape (n, 3)) and ``blocks[k, l]`` the 3x3 block T[i][j] =
+    tr(rho_kl sigma_i (x) sigma_j) with qubit k on the first index, so
+    ``blocks[l, k] = blocks[k, l].T``; the unused diagonal ``blocks[k, k]``
+    is zero. Both arrays are real and read-only.
+
+    With s_l = 1 - 2 x_l, p = |psi|^2 and c_k = psi[x_k=0] conj(psi[x_k=1]),
+    every entry with a z index is a signed sum: z_k = sum p s_k, zz_kl =
+    sum p s_k s_l, x_k - i y_k = 2 sum c_k and xz_kl - i yz_kl =
+    2 sum c_k s_l. Each comes from the row and column sums of a vector over
+    m bits reshaped to 2**h x 2**(m-h), times small cached sign tables, so
+    these entries cost O(n) passes over the state. Only the four in-plane
+    entries need a pass per pair: the sums
+    A = sum psi(..0..0..) conj psi(..1..1..) and
+    B = sum psi(..0..1..) conj psi(..1..0..), over strided views of the
+    state. Transient memory is a few vectors of length 2**n.
+    """
+    n = state.n
+    psi = state.amplitudes
+    # one workspace allocation holds conj(psi) and, in its last third, p and
+    # then each c_k in turn: repeated calls leave no freed 2**n-sized blocks
+    # scattered through the heap (peak RSS on large files stays flat)
+    work = np.empty(3 << (n - 1), dtype=np.complex128)
+    cpsi = np.conjugate(psi, out=work[: 1 << n])
+    c = work[1 << n :]
+    p = np.abs(psi, out=c.view(np.float64))
+    G = _sign_moments(np.square(p, out=p), n)
+
+    # row k: sum c_k, then sum c_k s_l for the other qubits l in order
+    m = n - 1
+    h = m // 2
+    hi = _sign_table(h, np.complex128)
+    lo = _sign_table(m - h, np.complex128)[:, 1:]
+    c_sums = np.empty((n, n), dtype=np.complex128)
+    c_split = c.reshape(1 << h, -1)
+    for k in range(n):
+        halves = psi.reshape(1 << k, 2, -1)
+        chalves = cpsi.reshape(1 << k, 2, -1)
+        np.multiply(halves[:, 0], chalves[:, 1], out=c.reshape(1 << k, -1))
+        np.dot(c_split.sum(axis=1), hi, out=c_sums[k, : h + 1])
+        np.dot(c_split.sum(axis=0), lo, out=c_sums[k, h + 1 :])
+
+    # A[k, l] and B[k, l] for k < l; swapping k and l keeps A, conjugates B
+    A = np.zeros((n, n), dtype=np.complex128)
+    B = np.zeros((n, n), dtype=np.complex128)
+    for k, l in combinations(range(n), 2):
+        shape = (1 << k, 2, 1 << (l - k - 1), 2, -1)
+        a = psi.reshape(shape)
+        b = cpsi.reshape(shape)
+        A[k, l] = np.einsum("iab,iab->", a[:, 0, :, 0], b[:, 1, :, 1])
+        B[k, l] = np.einsum("iab,iab->", a[:, 0, :, 1], b[:, 1, :, 0])
+    A += A.T
+    B += B.conj().T
+
+    bloch = np.empty((n, 3))
+    bloch[:, 0] = 2.0 * c_sums[:, 0].real
+    bloch[:, 1] = -2.0 * c_sums[:, 0].imag
+    bloch[:, 2] = G[0, 1:]
+
+    off = ~np.eye(n, dtype=bool)
+    # xz - i yz; row k of c_sums lists the qubits l != k in order, which is
+    # the row-major order of the off-diagonal
+    xz = np.zeros((n, n), dtype=np.complex128)
+    xz[off] = 2.0 * c_sums[:, 1:].ravel()
+    xx = 2.0 * (A + B)  # xx - i yx
+    yy = 2.0 * (B - A)  # yy + i xy
+    blocks = np.empty((n, n, 3, 3))
+    blocks[..., 0, 0] = xx.real
+    blocks[..., 0, 1] = yy.imag
+    blocks[..., 0, 2] = xz.real
+    blocks[..., 1, 0] = -xx.imag
+    blocks[..., 1, 1] = yy.real
+    blocks[..., 1, 2] = -xz.imag
+    blocks[..., 2, :2] = blocks[..., :2, 2].transpose(1, 0, 2)
+    blocks[..., 2, 2] = G[1:, 1:]
+    blocks[~off] = 0.0
+    bloch.setflags(write=False)
+    blocks.setflags(write=False)
+    return bloch, blocks
 
 
 def correlation_component(state: PureState, mu: Sequence[int]) -> float:

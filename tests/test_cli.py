@@ -102,6 +102,23 @@ def test_analyze_norm_violation_exits_2(capsys, tmp_path):
     assert code == 2 and "norm" in err
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "null"])
+def test_analyze_non_finite_amplitudes_exit_2(capsys, tmp_path, token):
+    path = tmp_path / "state.json"
+    path.write_text('{"n": 1, "amplitudes": [[%s, 0.0], [1.0, 0.0]]}' % token)
+    code, out, err = run_cli(capsys, "analyze", "--state", str(path))
+    assert code == 2 and out == "" and "amplitudes must be finite" in err
+
+
+def test_analyze_one_qubit_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "analyze", "--family", "plus", "--n", "1")
+    assert code == 2 and out == "" and "at least 2 qubits" in err
+    path = tmp_path / "one_qubit.json"
+    path.write_text('{"n": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}')
+    code, out, err = run_cli(capsys, "analyze", "--state", str(path), "--format", "text")
+    assert code == 2 and out == "" and "at least 2 qubits" in err
+
+
 def test_analyze_norm_within_renorm_band_warns_and_succeeds(capsys, tmp_path):
     doc = state_to_json_dict(make_ghz(2))
     doc["amplitudes"] = [[a * (1 + 2e-8), b] for a, b in doc["amplitudes"]]

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -436,3 +439,32 @@ def test_soundness_products_never_excluded_at_true_partition():
             state = factor if state is None else tensor_product(state, factor)
         rep = exclusion_report(state)
         assert true_partition not in {p for p, _ in rep.excluded_partitions}
+
+
+def test_consistency_checks_survive_python_O():
+    # the checks must raise even when assert statements are compiled out
+    script = """
+import entmon.detector as detector
+import entmon.families as families
+from entmon import make_dicke
+
+detector.s_threshold = lambda n, k: -1.0
+try:
+    detector.exclusion_report(make_dicke(5, 1))
+except RuntimeError as exc:
+    print("exclusion_report:", exc)
+families.dicke_m_pb = lambda n, e: 0.0
+try:
+    families.dicke_max_m_pb(5)
+except RuntimeError as exc:
+    print("dicke_max_m_pb:", exc)
+"""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert "exclusion_report: threshold s_2" in out.stdout
+    assert "dicke_max_m_pb: closed-form maximum" in out.stdout

@@ -1,0 +1,235 @@
+"""The one-pass marginals kernel against the per-pair reductions, the
+full-operator oracle, and the detector outputs it feeds."""
+import itertools
+import json
+import math
+
+import numpy as np
+import pytest
+
+import entmon.detector as detector
+from entmon import (
+    apply_local_unitary,
+    bloch_vector,
+    correlation_component,
+    m_pb,
+    make_basis_state,
+    make_dicke,
+    make_ghz,
+    make_random_haar,
+    monogamy_stress,
+    pair_block,
+    random_rotation,
+    reduced_density_pair,
+    reduced_density_single,
+    state_to_json_dict,
+    su2_from_rotation,
+    tensor_product,
+)
+from entmon.cli import main, render_json
+from entmon.statevec import PureState
+from entmon.tensor import marginals
+
+
+def random_product(n: int, seed: int) -> PureState:
+    state = make_random_haar(1, seed)
+    for q in range(1, n):
+        state = tensor_product(state, make_random_haar(1, seed + q))
+    return state
+
+
+def rotated_ghz(n: int, seed: int) -> PureState:
+    rng = np.random.default_rng(seed)
+    state = make_ghz(n)
+    for q in range(n):
+        state = apply_local_unitary(state, q, su2_from_rotation(random_rotation(rng)))
+    return state
+
+
+def fixtures(n: int) -> dict[str, PureState]:
+    return {
+        "basis": make_basis_state(n, "".join("01"[q % 2] for q in range(n))),
+        "product": random_product(n, 40 + n),
+        "ghz": make_ghz(n),
+        "w": make_dicke(n, 1),
+        "dicke": make_dicke(n, n // 2),
+        "haar": make_random_haar(n, 500 + n),
+        "rotated-ghz": rotated_ghz(n, 900 + n),
+    }
+
+
+def reference_marginals(state: PureState) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch vectors and symmetric blocks from the per-qubit and per-pair
+    reductions, one 2**n reduction per marginal."""
+    n = state.n
+    bloch = np.array([bloch_vector(reduced_density_single(state, k)) for k in range(n)])
+    blocks = np.zeros((n, n, 3, 3))
+    for k, l in itertools.combinations(range(n), 2):
+        blocks[k, l] = pair_block(reduced_density_pair(state, k, l))
+        blocks[l, k] = blocks[k, l].T
+    return bloch, blocks
+
+
+def oracle_entry(state: PureState, marks: dict[int, int]) -> float:
+    mu = [0] * state.n
+    for q, i in marks.items():
+        mu[q] = i + 1
+    return correlation_component(state, mu)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_kernel_matches_oracle(n):
+    for name, state in fixtures(n).items():
+        bloch, blocks = marginals(state)
+        for k in range(n):
+            for i in range(3):
+                assert abs(bloch[k, i] - oracle_entry(state, {k: i})) < 1e-10, (name, k, i)
+        for k, l in itertools.permutations(range(n), 2):
+            for i, j in itertools.product(range(3), repeat=2):
+                want = oracle_entry(state, {k: i, l: j})
+                assert abs(blocks[k, l, i, j] - want) < 1e-10, (name, k, l, i, j)
+
+
+def test_kernel_matches_oracle_at_ten_qubits():
+    n = 10
+    state = make_random_haar(n, 1010)
+    bloch, blocks = marginals(state)
+    for k in range(n):
+        for i in range(3):
+            assert abs(bloch[k, i] - oracle_entry(state, {k: i})) < 1e-10
+    for k, l in ((0, 1), (0, 9), (4, 5), (8, 9)):
+        for i, j in itertools.product(range(3), repeat=2):
+            assert abs(blocks[k, l, i, j] - oracle_entry(state, {k: i, l: j})) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6, 8, 10])
+def test_kernel_matches_reductions_on_fixtures(n):
+    names = fixtures(n) if n >= 2 else {"haar": make_random_haar(1, 3)}
+    for name, state in names.items():
+        bloch, blocks = marginals(state)
+        ref_bloch, ref_blocks = reference_marginals(state)
+        assert bloch.shape == (n, 3) and blocks.shape == (n, n, 3, 3)
+        assert np.max(np.abs(bloch - ref_bloch)) < 1e-12, name
+        assert np.max(np.abs(blocks - ref_blocks), initial=0.0) < 1e-12, name
+
+
+@pytest.mark.parametrize("n", [11, 13, 16])
+def test_kernel_matches_reductions_at_larger_n(n):
+    for state in (make_random_haar(n, 7 * n), make_dicke(n, n // 3)):
+        bloch, blocks = marginals(state)
+        ref_bloch, ref_blocks = reference_marginals(state)
+        assert np.max(np.abs(bloch - ref_bloch)) < 1e-12
+        assert np.max(np.abs(blocks - ref_blocks)) < 1e-12
+
+
+def test_kernel_outputs_are_read_only_real_and_symmetric():
+    bloch, blocks = marginals(make_random_haar(5, 2))
+    assert bloch.dtype == np.float64 and blocks.dtype == np.float64
+    assert not bloch.flags.writeable and not blocks.flags.writeable
+    assert np.array_equal(blocks, blocks.transpose(1, 0, 3, 2))
+    assert not np.any(blocks[np.arange(5), np.arange(5)])
+    with pytest.raises(ValueError):
+        blocks[0, 1, 0, 0] = 1.0
+
+
+def permuted(state: PureState, perm: list[int]) -> PureState:
+    """State whose qubit i is the input's qubit perm[i]."""
+    psi = state.amplitudes.reshape((2,) * state.n).transpose(perm)
+    return PureState(state.n, psi.reshape(-1))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_permuting_qubits_permutes_blocks(seed):
+    n = 6
+    rng = np.random.default_rng(seed)
+    perm = [int(q) for q in rng.permutation(n)]
+    for state in (make_random_haar(n, 60 + seed), make_dicke(n, 2), rotated_ghz(n, seed)):
+        bloch, blocks = marginals(state)
+        p_bloch, p_blocks = marginals(permuted(state, perm))
+        assert np.max(np.abs(p_bloch - bloch[perm])) < 1e-12
+        assert np.max(np.abs(p_blocks - blocks[np.ix_(perm, perm)])) < 1e-12
+        assert m_pb(permuted(state, perm)) == pytest.approx(m_pb(state), rel=1e-12, abs=1e-12)
+
+
+def reference_stress(n: int, trials: int, seed: int) -> dict[str, float]:
+    """monogamy_stress's seeding contract with blocks from per-pair reductions."""
+    pairs = list(itertools.combinations(range(n), 2))
+    mins = [math.inf] * 4
+    max_pair = -math.inf
+    for i in range(trials):
+        state = make_random_haar(n, seed + i)
+        frame_rng = np.random.default_rng([seed, i])
+        frames = [random_rotation(frame_rng) for _ in range(n)]
+        values = {}
+        for k, l in pairs:
+            block = frames[k] @ pair_block(reduced_density_pair(state, k, l)) @ frames[l].T
+            values[k, l] = float(np.sum(block[:2, :2] ** 2))
+        two_term = [
+            values[p] + values[r]
+            for q in range(n)
+            for p, r in itertools.combinations([p for p in pairs if q in p], 2)
+        ]
+        triple = [
+            values[k, l] + values[l, m] + values[k, m]
+            for k, l, m in itertools.combinations(range(n), 3)
+        ]
+        total_bound = 2.0 if n == 2 else float(math.comb(n, 2))
+        slacks = (
+            min(2.0 - v for v in values.values()),
+            min((2.0 - v for v in two_term), default=math.inf),
+            min((3.0 - v for v in triple), default=math.inf),
+            total_bound - sum(values.values()),
+        )
+        mins = [min(a, b) for a, b in zip(mins, slacks)]
+        max_pair = max(max_pair, max(values.values()))
+    return {
+        "min_pair_slack": mins[0],
+        "min_two_term_slack": mins[1],
+        "min_triple_slack": mins[2],
+        "min_total_slack": mins[3],
+        "max_pair_value": max_pair,
+    }
+
+
+@pytest.mark.parametrize("n,trials,seed", [(2, 20, 3), (4, 32, 11), (6, 20, 12), (8, 10, 13)])
+def test_stress_summary_matches_per_pair_loop(n, trials, seed):
+    summary = monogamy_stress(n, trials, seed)
+    want = reference_stress(n, trials, seed)
+    assert summary.violations == 0
+    for name, value in want.items():
+        got = getattr(summary, name)
+        if math.isinf(value):
+            assert got == value, name
+        else:
+            assert abs(got - value) <= 1e-12, (name, got, value)
+
+
+def analyze_json(capsys, path, *extra) -> dict:
+    assert main(["analyze", "--state", str(path), "--format", "json", *extra]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+VERDICT_STATES = {
+    "dicke-5-2": make_dicke(5, 2),
+    "dicke-7-3": make_dicke(7, 3),
+    "w-6": make_dicke(6, 1),
+    "ghz-5": make_ghz(5),
+    "rotated-ghz-4": rotated_ghz(4, 5),
+    "haar-6": make_random_haar(6, 66),
+    "product-5": random_product(5, 8),
+    "ghz3-w3": tensor_product(make_ghz(3), make_dicke(3, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_STATES))
+@pytest.mark.parametrize("policy", ["canonical", "maximize:16"])
+def test_analyze_verdicts_match_per_pair_reductions(name, policy, tmp_path, capsys, monkeypatch):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(state_to_json_dict(VERDICT_STATES[name])))
+    doc = analyze_json(capsys, path, "--zero-policy", policy)
+    monkeypatch.setattr(detector, "marginals", reference_marginals)
+    ref = analyze_json(capsys, path, "--zero-policy", policy)
+    assert doc["m_pb"] == pytest.approx(ref["m_pb"], rel=1e-12, abs=1e-13)
+    for key in ref:
+        if key != "m_pb":
+            assert render_json(doc[key]) == render_json(ref[key]), key

@@ -217,3 +217,44 @@ def test_state_json_shape_validation():
         sv.state_from_json_dict({"n": 1, "amplitudes": [[1.0], [0.0]]})
     with pytest.raises(ValueError):
         sv.state_from_json_dict([1, 2])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match="finite"):
+        sv.PureState(1, np.array([bad, 0.0]))
+
+
+PAIRS_ERROR = "number pairs"
+
+# JSON-shaped amplitude lists for n = 1 and the outcome the loader gives them:
+# a normalized state, or the error message it raises
+AMPLITUDE_CASES = {
+    "ragged": ([[1.0, 0.0], [0.0]], PAIRS_ERROR),
+    "one-element pairs": ([[1.0], [0.0]], PAIRS_ERROR),
+    "three-element pairs": ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], PAIRS_ERROR),
+    "numeric strings": ([["1.0", "0"], ["0", "0"]], [1.0, 0.0]),
+    "word strings": ([["one", "0"], ["0", "0"]], PAIRS_ERROR),
+    "strings as pairs": (["10", "00"], PAIRS_ERROR),
+    "nested inside a pair": ([[[1.0], 0.0], [0.0, 0.0]], PAIRS_ERROR),
+    "nested pairs": ([[[1.0, 0.0]], [[0.0, 0.0]]], PAIRS_ERROR),
+    "bools": ([[True, False], [False, False]], [1.0, 0.0]),
+    "objects as pairs": ([{"1": 0, "0": 0}, {"0": 0, "1": 1}], PAIRS_ERROR),
+    "bare numbers": ([1.0, 0.0], PAIRS_ERROR),
+    "tuples": ([(0.6, 0.0), (0.0, 0.8)], [0.6, 0.8j]),
+    "NaN": ([[math.nan, 0.0], [1.0, 0.0]], "finite"),
+    "Infinity": ([[math.inf, 0.0], [1.0, 0.0]], "finite"),
+    "null": ([[None, 0.0], [1.0, 0.0]], "finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AMPLITUDE_CASES))
+def test_state_json_amplitude_forms(case):
+    amplitudes, outcome = AMPLITUDE_CASES[case]
+    obj = {"n": 1, "amplitudes": amplitudes}
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError, match=outcome):
+            sv.state_from_json_dict(obj)
+    else:
+        state = sv.state_from_json_dict(obj)
+        assert np.array_equal(state.amplitudes, np.array(outcome, dtype=complex))
