@@ -18,7 +18,7 @@ import numpy as np
 from . import detector, families
 from .detector import EPS_DET, DetectionReport, exclusion_report
 from .frames import ZeroPolicy
-from .statevec import PureState, state_from_json_dict
+from .statevec import PureState, state_from_json_bytes
 
 
 class InputError(Exception):
@@ -119,14 +119,14 @@ def parse_zero_policy(text: str, seed: int) -> ZeroPolicy:
 
 def _load_state_file(path: str) -> PureState:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read state file {path!r}: {exc}") from None
+    try:
+        return state_from_json_bytes(data)
     except json.JSONDecodeError as exc:
         raise InputError(f"state file {path!r} is not valid JSON: {exc}") from None
-    try:
-        return state_from_json_dict(obj)
     except ValueError as exc:
         raise InputError(f"state file {path!r}: {exc}") from None
 
@@ -358,12 +358,13 @@ def cmd_stress(args) -> int:
 def cmd_partitions(args) -> int:
     if not 2 <= args.n <= 20:
         raise InputError(f"--n must be in 2..20, got {args.n}")
+    if not math.isfinite(args.m_value):
+        raise InputError(f"--m-value must be a finite number, got {args.m_value!r}")
     n, value = args.n, args.m_value
-    table = []
-    for parts in detector.enumerate_partitions(n):
-        bound = detector.partition_bound(parts)
-        excluded = len(parts) > 1 and value > bound + EPS_DET
-        table.append({"parts": list(parts), "k": len(parts), "bound": bound, "excluded": excluded})
+    table = [
+        {"parts": list(parts), "k": len(parts), "bound": bound, "excluded": excluded}
+        for parts, bound, excluded in detector.partition_table(n, value)
+    ]
     s_thr = {k: detector.s_threshold(n, k) for k in range(2, n)} if n >= 3 else {}
     gt = detector.genuine_threshold(n) if n >= 3 else None
     depth = {m: detector.depth_threshold(n, m) for m in range(1, n // 2)} if n >= 5 else {}

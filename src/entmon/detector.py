@@ -322,6 +322,19 @@ def enumerate_partitions(n: int, k: int | None = None) -> list[tuple[int, ...]]:
     return out
 
 
+def partition_table(n: int, value: float) -> list[tuple[tuple[int, ...], float, bool]]:
+    """(parts, bound, excluded) for every partition of n, in enumeration order.
+
+    A nontrivial partition is excluded iff ``value`` exceeds its bound by
+    more than EPS_DET; the trivial partition (n) always survives.
+    """
+    table = []
+    for parts in enumerate_partitions(n):
+        bound = partition_bound(parts)
+        table.append((parts, bound, len(parts) > 1 and value > bound + EPS_DET))
+    return table
+
+
 def s_threshold(n: int, k: int) -> float:
     """Exclusion threshold for "not k-product": the largest partition_bound
     over all k-part partitions of n (2 for k = n-1, 4 for k = n-2,
@@ -475,17 +488,9 @@ def exclusion_report(state: PureState, policy: ZeroPolicy | None = None) -> Dete
         raise ValueError("exclusion reports need at least 2 qubits")
     value = m_pb(state, policy)
 
-    excluded: list[tuple[tuple[int, ...], float]] = []
-    surviving: list[tuple[int, ...]] = []
-    for parts in enumerate_partitions(n):
-        if len(parts) == 1:
-            surviving.append(parts)
-            continue
-        bound = partition_bound(parts)
-        if value > bound + EPS_DET:
-            excluded.append((parts, bound))
-        else:
-            surviving.append(parts)
+    table = partition_table(n, value)
+    excluded = [(parts, bound) for parts, bound, out in table if out]
+    surviving = [parts for parts, _, out in table if not out]
 
     guarantee = min(parts[0] for parts in surviving)
     surviving_ks = {len(parts) for parts in surviving}

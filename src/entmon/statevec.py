@@ -11,8 +11,10 @@ The dense representation caps the qubit count at 20 by default; set the
 """
 from __future__ import annotations
 
+import json
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -175,14 +177,46 @@ def apply_local_unitary(state: PureState, qubit: int, U: np.ndarray) -> PureStat
 def state_from_json_dict(obj: dict) -> PureState:
     """Parse the state-file JSON object {"n": int, "amplitudes": [[re, im], ...]}.
 
-    Every pair must be a two-element list (or tuple) of finite numbers. The
-    norm is validated on load: deviations up to 1e-9 are accepted, up to 1e-6
-    the state is renormalized with a warning, anything beyond is rejected.
+    ``n`` must be integral: an int, an integral float or a numeric string
+    (booleans are rejected). Every pair must be a two-element list (or tuple)
+    of finite numbers. The norm is validated on load: deviations up to 1e-9
+    are accepted, up to 1e-6 the state is renormalized with a warning,
+    anything beyond is rejected.
     """
+    return _state_from_flat(*_flat_from_dict(obj))
+
+
+def state_from_json_bytes(data: bytes) -> PureState:
+    """Parse a state file's raw bytes (UTF-8 JSON) into a state.
+
+    Accepts exactly the documents ``state_from_json_dict(json.loads(...))``
+    accepts, with bit-identical amplitudes and the same error messages; any
+    failure raises ValueError. The layout entmon writes, ``{"n": <integer>,
+    "amplitudes": [[re, im], ...]}`` in that key order with any whitespace,
+    is read in chunks straight into one float64 array, without building a
+    Python list per pair.
+    """
+    parsed = _flat_from_entmon_layout(data)
+    if parsed is None:
+        try:
+            obj = json.loads(data.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"contents are not valid UTF-8: {exc}") from None
+        except RecursionError:
+            raise ValueError("JSON arrays or objects are nested too deeply") from None
+        parsed = _flat_from_dict(obj)
+    return _state_from_flat(*parsed)
+
+
+def _flat_from_dict(obj) -> tuple[int, np.ndarray]:
+    """Check a parsed state file's fields; return n and the re/im values."""
     if not isinstance(obj, dict):
         raise ValueError("state file must contain a JSON object")
     try:
-        n = int(obj["n"])
+        n_field = obj["n"]
+        if isinstance(n_field, bool) or (isinstance(n_field, float) and not n_field.is_integer()):
+            raise ValueError(f"qubit count must be an integer, got {n_field!r}")
+        n = int(n_field)
         pairs = obj["amplitudes"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"state file is missing or has malformed fields: {exc}") from None
@@ -195,8 +229,80 @@ def state_from_json_dict(obj: dict) -> PureState:
         raise ValueError("amplitudes must be [re, im] number pairs")
     try:
         flat = np.fromiter(chain.from_iterable(pairs), dtype=float, count=2 * len(pairs))
+    except OverflowError:
+        # an integer beyond the float range, like 1e400 written out in digits
+        raise ValueError("amplitudes must be finite numbers") from None
     except (TypeError, ValueError):
         raise ValueError("amplitudes must be [re, im] number pairs") from None
+    return n, flat
+
+
+# JSON whitespace, and the bytes a JSON number can contain
+_JSON_WS = b" \t\n\r"
+_NUMBER_AND_WS = b"0123456789+-.eE" + _JSON_WS
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+_ENTMON_HEAD = re.compile(
+    rb'[ \t\n\r]*\{[ \t\n\r]*"n"[ \t\n\r]*:[ \t\n\r]*(-?(?:0|[1-9][0-9]{0,8}))'
+    rb'[ \t\n\r]*,[ \t\n\r]*"amplitudes"[ \t\n\r]*:[ \t\n\r]*\['
+)
+# bytes of the amplitude array parsed per json.loads call (about 1.5k pairs)
+_CHUNK_BYTES = 1 << 16
+
+
+def _flat_from_entmon_layout(data: bytes) -> tuple[int, np.ndarray] | None:
+    """Read {"n": <int>, "amplitudes": [[re, im], ...]} without per-pair lists.
+
+    Returns None for any other document, and for any document a check here
+    rejects, so that the general parser decides its outcome and message.
+    """
+    head = _ENTMON_HEAD.match(data)
+    if head is None:
+        return None
+    n = int(head.group(1))
+    if n < 1 or n > max_qubits():
+        return None
+    count = 2**n
+    # Deleting every number and whitespace byte must leave the header's
+    # skeleton, then [ + [,], x (2**n - 1) + [,] + ], then }. Compare the
+    # length first, so a short file claiming a large n allocates nothing of
+    # size 2**n.
+    head_skeleton = data[: head.end()].translate(None, _NUMBER_AND_WS)
+    skeleton = data.translate(None, _NUMBER_AND_WS)
+    if len(skeleton) != len(head_skeleton) + 4 * count + 1:
+        return None
+    if skeleton != head_skeleton + b"[,]," * (count - 1) + b"[,]]}":
+        return None
+    del skeleton
+    stop = data.rfind(b"]")
+    if data[stop + 1:].translate(None, _JSON_WS) != b"}":
+        return None
+    # Every ] before stop closes a pair and the next , after it separates
+    # pairs. Each chunk runs from one separator to another, so every byte of
+    # the array is parsed; brackets become spaces (not deleted), so a stray
+    # number next to a bracket cannot merge with its neighbour.
+    flat = np.empty(2 * count)
+    pos, filled = head.end(), 0
+    try:
+        while pos < stop:
+            end = stop
+            if pos + _CHUNK_BYTES < stop:
+                close = data.find(b"]", pos + _CHUNK_BYTES, stop)
+                comma = data.find(b",", close, stop) if close >= 0 else -1
+                if comma >= 0:
+                    end = comma
+            values = json.loads(b"[" + data[pos:end].translate(_BRACKETS_TO_SPACES) + b"]")
+            flat[filled:filled + len(values)] = np.fromiter(values, dtype=float, count=len(values))
+            filled += len(values)
+            pos = end + 1
+    except (ValueError, OverflowError):
+        return None
+    if filled != flat.size:
+        return None
+    return n, flat
+
+
+def _state_from_flat(n: int, flat: np.ndarray) -> PureState:
+    """Apply the load policy (finite, norm tolerances) to 2**(n+1) re/im values."""
     if not np.isfinite(flat).all():
         raise ValueError("amplitudes must be finite numbers")
     amps = flat.view(np.complex128)
@@ -207,7 +313,7 @@ def state_from_json_dict(obj: dict) -> PureState:
     if err > LOAD_NORM_TOL:
         warnings.warn(
             f"state norm deviates from 1 by {err:.3e}; renormalizing",
-            stacklevel=2,
+            stacklevel=3,
         )
     return _normalized(n, amps)
 

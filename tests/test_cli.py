@@ -1,11 +1,20 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
-from entmon import make_ghz, state_to_json_dict
+from entmon import (
+    exclusion_report,
+    make_ghz,
+    make_random_haar,
+    state_from_json_dict,
+    state_to_json_dict,
+)
 from entmon.cli import main, parse_zero_policy, render_json
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +117,41 @@ def test_analyze_non_finite_amplitudes_exit_2(capsys, tmp_path, token):
     path.write_text('{"n": 1, "amplitudes": [[%s, 0.0], [1.0, 0.0]]}' % token)
     code, out, err = run_cli(capsys, "analyze", "--state", str(path))
     assert code == 2 and out == "" and "amplitudes must be finite" in err
+
+
+# state files the loader used to end in a traceback on, and the message each
+# gets now
+LOADER_ERROR_CASES = {
+    "invalid UTF-8": (b'{"n": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}\xff', "UTF-8"),
+    "400-digit integer amplitude": (
+        b'{"n": 1, "amplitudes": [[1' + b"0" * 399 + b', 0.0], [0.0, 0.0]]}',
+        "finite",
+    ),
+    "n beyond the float range": (
+        b'{"n": 1e400, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}',
+        "qubit count must be an integer",
+    ),
+    "deep nesting": (b"[" * 100_000, "nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADER_ERROR_CASES))
+def test_analyze_loader_errors_exit_2(capsys, tmp_path, case):
+    data, message = LOADER_ERROR_CASES[case]
+    path = tmp_path / "state.json"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, "analyze", "--state", str(path))
+    assert code == 2 and out == "" and message in err
+
+
+def test_analyze_haar_16_file_matches_general_path(capsys, tmp_path):
+    text = json.dumps(state_to_json_dict(make_random_haar(16, 2024)))
+    path = tmp_path / "haar16.json"
+    path.write_text(text)
+    code, out, _ = run_cli(capsys, "analyze", "--state", str(path), "--format", "json")
+    assert code == 0
+    general = exclusion_report(state_from_json_dict(json.loads(text)))
+    assert out == render_json(general.to_json_dict()) + "\n"
 
 
 def test_analyze_one_qubit_exits_2(capsys, tmp_path):
@@ -279,6 +323,21 @@ def test_partitions_csv(capsys):
 def test_partitions_validation(capsys):
     code, _, _ = run_cli(capsys, "partitions", "--n", "21", "--m-value", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_partitions_non_finite_value_exits_2(capsys, value):
+    code, out, err = run_cli(capsys, "partitions", "--n", "5", f"--m-value={value}")
+    assert code == 2 and out == "" and "finite" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_partitions_output_matches_golden(capsys, fmt):
+    code, out, _ = run_cli(
+        capsys, "partitions", "--n", "7", "--m-value", "13.714", "--format", fmt
+    )
+    assert code == 0
+    assert out == (DATA / f"partitions_n7_m13.714.{fmt}").read_text()
 
 
 def test_unknown_subcommand_exits_2():

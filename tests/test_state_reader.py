@@ -1,0 +1,205 @@
+"""state_from_json_bytes against the general reader it must agree with.
+
+The reference is ``state_from_json_dict(json.loads(text))``: on every
+document both either return bit-identical amplitudes or raise the same
+message. The layout entmon writes must also take the chunked path, or the
+agreement would hold trivially.
+"""
+import json
+import math
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entmon import statevec as sv
+
+WHITESPACE = ["", " ", "  ", "\n", "\n  ", "\t", "\r\n"]
+
+
+def outcome(read, data: bytes):
+    """('ok', n, amplitude bits, warning messages) or ('error', message)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            state = read(data)
+        except ValueError as exc:
+            return ("error", str(exc))
+    bits = state.amplitudes.view(np.uint64).tobytes()
+    return ("ok", state.n, bits, [str(w.message) for w in caught])
+
+
+def general(data: bytes):
+    return sv.state_from_json_dict(json.loads(data.decode("utf-8")))
+
+
+def assert_paths_agree(data: bytes):
+    assert outcome(sv.state_from_json_bytes, data) == outcome(general, data)
+
+
+def number_forms(x: float) -> st.SearchStrategy[str]:
+    forms = [repr(x), format(x, ".17e"), format(x, ".17E"), format(x, ".16e")]
+    if x.is_integer():
+        forms.append(str(int(x)))
+    if x == 0.0:
+        forms += ["-0", "0", "-0.0", "0e5", "-0E-3"]
+    return st.sampled_from(forms)
+
+
+@st.composite
+def state_values(draw):
+    """(n, [re, im, ...]) for a Haar, basis or slightly denormalized state."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["haar", "basis", "rounded"]))
+    if kind == "basis":
+        amps = sv.make_basis_state(n, format(draw(st.integers(0, 2**n - 1)), f"0{n}b")).amplitudes
+    else:
+        amps = sv.make_random_haar(n, draw(st.integers(0, 2**32 - 1))).amplitudes
+    values = [float(v) for v in amps.view(np.float64)]
+    if kind == "rounded":
+        digits = draw(st.sampled_from([".4g", ".8g", ".12g"]))
+        values = [float(format(v, digits)) for v in values]
+    return n, values
+
+
+@st.composite
+def entmon_layout(draw, values=state_values()):
+    """{"n": n, "amplitudes": [...]} with varied number forms and whitespace."""
+    n, flat = draw(values)
+    ws = lambda: draw(st.sampled_from(WHITESPACE))  # noqa: E731
+    pairs = []
+    for re_, im in zip(flat[::2], flat[1::2]):
+        a, b = draw(number_forms(re_)), draw(number_forms(im))
+        pairs.append(f"{ws()}[{ws()}{a}{ws()},{ws()}{b}{ws()}]{ws()}")
+    return (
+        f'{ws()}{{{ws()}"n"{ws()}:{ws()}{n}{ws()},{ws()}"amplitudes"{ws()}:{ws()}'
+        f'[{",".join(pairs)}]{ws()}}}{ws()}'
+    ).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(entmon_layout())
+def test_entmon_layout_takes_chunked_path_and_matches(data):
+    assert sv._flat_from_entmon_layout(data) is not None
+    assert_paths_agree(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(state_values(), st.sampled_from(["compact", "default", "indent", "reordered", "extra"]))
+def test_json_dumps_forms_match(values, form):
+    n, flat = values
+    obj = {"n": n, "amplitudes": [list(p) for p in zip(flat[::2], flat[1::2])]}
+    if form == "compact":
+        text = json.dumps(obj, separators=(",", ":"))
+    elif form == "indent":
+        text = json.dumps(obj, indent=2)
+    elif form == "reordered":
+        text = json.dumps({"amplitudes": obj["amplitudes"], "n": n})
+    elif form == "extra":
+        text = json.dumps({**obj, "label": "haar", "seed": 3})
+    else:
+        text = json.dumps(obj)
+    data = text.encode()
+    chunked = sv._flat_from_entmon_layout(data) is not None
+    assert chunked == (form in ("compact", "default", "indent"))
+    assert_paths_agree(data)
+
+
+def test_chunked_path_spans_many_chunks():
+    # 2**12 pairs of about 40 bytes fill several chunks
+    state = sv.make_random_haar(12, 5)
+    data = json.dumps(sv.state_to_json_dict(state)).encode()
+    assert len(data) > 2 * sv._CHUNK_BYTES
+    assert sv._flat_from_entmon_layout(data) is not None
+    assert_paths_agree(data)
+
+
+MUTATION_BYTES = st.sampled_from(list(b"0123456789+-.eE[],:{}\" \t\n\rxaN"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["delete", "insert", "replace"]),
+    st.integers(0, 10**6),
+    MUTATION_BYTES,
+)
+def test_mutated_amplitude_array_agrees(n, seed, op, where, byte):
+    text = json.dumps(sv.state_to_json_dict(sv.make_random_haar(n, seed)))
+    start, stop = text.index("["), text.rindex("]") + 1
+    pos = start + where % (stop - start)
+    data = bytearray(text.encode())
+    if op == "delete":
+        del data[pos]
+    elif op == "insert":
+        data.insert(pos, byte)
+    else:
+        data[pos] = byte
+    assert_paths_agree(bytes(data))
+
+
+# documents close to the entmon layout that the chunked reader must decline
+NEAR_MISSES = {
+    # a stray number next to a bracket must not merge with its neighbour
+    "number after a pair": '{"n": 1, "amplitudes": [[1,0]0,[0,0]]}',
+    "number before a pair": '{"n": 1, "amplitudes": [[1,0],0[0,0]]}',
+    "number after the opening bracket": '{"n": 1, "amplitudes": [1[1,0],[0,0]]}',
+    "number before the closing bracket": '{"n": 1, "amplitudes": [[1,0],[0,0]0]}',
+    "number after the array": '{"n": 1, "amplitudes": [[1,0],[0,0]]0}',
+    "number after the object": '{"n": 1, "amplitudes": [[1,0],[0,0]]} 0',
+    "missing comma in a pair": '{"n": 1, "amplitudes": [[1 0],[0,0]]}',
+    "duplicate key": '{"n": 1, "amplitudes": [[1,0],[0,0]], "amplitudes": [[0,0],[1,0]]}',
+    "leading zero": '{"n": 1, "amplitudes": [[01,0],[0,0]]}',
+    "plus sign": '{"n": 1, "amplitudes": [[+1,0],[0,0]]}',
+    "bare point": '{"n": 1, "amplitudes": [[1.,0],[0,0]]}',
+    "400-digit integer": '{"n": 1, "amplitudes": [[1%s,0],[0,0]]}' % ("0" * 400),
+    "leading zero in n": '{"n": 01, "amplitudes": [[1,0],[0,0]]}',
+    "negative n": '{"n": -1, "amplitudes": [[1,0],[0,0]]}',
+    "zero n": '{"n": 0, "amplitudes": []}',
+    "byte order mark": '\ufeff{"n": 1, "amplitudes": [[1,0],[0,0]]}',
+    "form feed": '{"n": 1, "amplitudes": [[1,0],[0,0]]}\f',
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEAR_MISSES))
+def test_near_miss_layouts_agree(case):
+    data = NEAR_MISSES[case].encode()
+    assert sv._flat_from_entmon_layout(data) is None
+    assert_paths_agree(data)
+
+
+def test_claimed_large_n_rejected_without_allocating(monkeypatch):
+    monkeypatch.setenv(sv.MAX_QUBITS_ENV, "30")
+    docs = [
+        b'{"n": 30, "amplitudes": [[1, 0]]}',
+        b'{"n": 30, "amplitudes": [' + b"[0, 0], " * 10_000 + b"[1, 0]]}",
+    ]
+    for data in docs:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"2\*\*30"):
+                sv.state_from_json_bytes(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+def test_overflowing_number_on_chunked_path_is_not_finite():
+    data = b'{"n": 1, "amplitudes": [[1e999, 0], [0, 0]]}'
+    assert sv._flat_from_entmon_layout(data) is not None
+    with pytest.raises(ValueError, match="finite"):
+        sv.state_from_json_bytes(data)
+
+
+def test_renormalization_warning_on_chunked_path():
+    values = [1 + 5e-8, 0.0, 0.0, 0.0]
+    data = json.dumps({"n": 1, "amplitudes": [values[:2], values[2:]]}).encode()
+    assert sv._flat_from_entmon_layout(data) is not None
+    with pytest.warns(UserWarning, match="renormalizing"):
+        state = sv.state_from_json_bytes(data)
+    assert math.isclose(abs(state.amplitudes[0]), 1.0, abs_tol=1e-15)

@@ -245,6 +245,7 @@ AMPLITUDE_CASES = {
     "NaN": ([[math.nan, 0.0], [1.0, 0.0]], "finite"),
     "Infinity": ([[math.inf, 0.0], [1.0, 0.0]], "finite"),
     "null": ([[None, 0.0], [1.0, 0.0]], "finite"),
+    "400-digit integer": ([[10**399, 0.0], [1.0, 0.0]], "finite"),
 }
 
 
@@ -258,3 +259,30 @@ def test_state_json_amplitude_forms(case):
     else:
         state = sv.state_from_json_dict(obj)
         assert np.array_equal(state.amplitudes, np.array(outcome, dtype=complex))
+
+
+# values of the "n" field for a two-qubit |00> file and the outcome: the
+# qubit count read, or the error message
+QUBIT_COUNT_CASES = {
+    "int": (2, 2),
+    "integral float": (2.0, 2),
+    "numeric string": ("2", 2),
+    "fractional float": (2.9, "must be an integer"),
+    "true": (True, "must be an integer"),
+    "false": (False, "must be an integer"),
+    "infinite float": (math.inf, "must be an integer"),
+    "NaN": (math.nan, "must be an integer"),
+    "word string": ("two", "malformed"),
+    "null": (None, "malformed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUBIT_COUNT_CASES))
+def test_state_json_qubit_count_forms(case):
+    value, outcome = QUBIT_COUNT_CASES[case]
+    obj = {"n": value, "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError, match=outcome):
+            sv.state_from_json_dict(obj)
+    else:
+        assert sv.state_from_json_dict(obj).n == outcome
