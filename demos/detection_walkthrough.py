@@ -1,7 +1,7 @@
 """Walk through the full detection pipeline on a 5-qubit excitation state.
 
 Pipeline: reduce to two-qubit marginals -> correlation blocks -> per-qubit
-preferred frames -> pairwise in-plane value M^(pb) -> compare against every
+preferred axes -> pairwise in-plane value M^(pb) -> compare against every
 partition bound.
 """
 import numpy as np
@@ -13,7 +13,7 @@ from entmon import (
     m_pb,
     make_dicke,
     pair_block,
-    preferred_frames,
+    preferred_axes,
     reduced_density_pair,
     reduced_density_single,
 )
@@ -24,17 +24,16 @@ state = make_dicke(5, 2)
 print("state: 5 qubits, equal weight on every basis index with two 1-bits")
 print()
 
-print("single-qubit Bloch vectors (all along +z, so preferred frames are identity):")
-for k in range(5):
-    b = bloch_vector(reduced_density_single(state, k))
-    print(f"  qubit {k}: {b}")
+print("single-qubit Bloch vectors and the preferred axes they set:")
+blochs = [bloch_vector(reduced_density_single(state, k)) for k in range(5)]
+for k, (b, a) in enumerate(zip(blochs, preferred_axes(blochs))):
+    print(f"  qubit {k}: {b}  axis {a}")
 print()
 
 print("correlation block of pair (0, 1): rows/cols are x, y, z")
 print(pair_block(reduced_density_pair(state, 0, 1)))
 print()
 
-frames = preferred_frames(state)
 value = m_pb(state)
 print(f"M^(pb) = {value:.12f}   (closed form: {dicke_m_pb(5, 2)})")
 print()

@@ -315,7 +315,10 @@ def cmd_stress(args) -> int:
         raise InputError(f"--n must be in 2..10, got {args.n}")
     if args.trials < 1:
         raise InputError(f"--trials must be >= 1, got {args.trials}")
-    summary = detector.monogamy_stress(args.n, args.trials, args.seed)
+    try:
+        summary = detector.monogamy_stress(args.n, args.trials, args.seed)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     fams = [
         ("pair", 2.0, summary.min_pair_slack),
         ("two_term", 2.0, summary.min_two_term_slack),

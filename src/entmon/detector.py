@@ -2,11 +2,12 @@
 k-product exclusion logic.
 
 The central quantity for a qubit pair (k, l) is the sum of the four squared
-correlation-block entries with both indices in the xy plane, evaluated in
-per-qubit frames; summed over all pairs in preferred frames it becomes the
-detection value M^(pb). A pure state that factors as a product over a
-partition (r_1, ..., r_k) can reach at most sum C(r_m, 2) + #{r_m = 2}, so
-exceeding that bound excludes the partition.
+correlation-block entries with both indices in the plane orthogonal to each
+qubit's z axis: ||P_k T_kl P_l||_F^2 with P = I - a a^T for the unit axis a.
+Summed over all pairs with preferred axes it becomes the detection value
+M^(pb). A pure state that factors as a product over a partition
+(r_1, ..., r_k) can reach at most sum C(r_m, 2) + #{r_m = 2}, so exceeding
+that bound excludes the partition.
 
 All functions are pure over immutable inputs; stress runs derive per-trial
 seeds from the master seed (seed + trial index) so results are reproducible
@@ -25,9 +26,9 @@ from .frames import (
     EPS_BLOCH,
     MAXIMIZE,
     ZeroPolicy,
-    preferred_frame,
+    _unit_axes,
+    preferred_axes,
     random_rotation,
-    rotation_to_z,
 )
 from .statevec import PureState, make_random_haar
 from .tensor import (
@@ -46,7 +47,7 @@ PAIR_BOUND = 2.0
 TWO_TERM_BOUND = 2.0
 TRIPLE_BOUND = 3.0
 
-# restarts for the maximize zero-policy search (identity start + this many
+# restarts for the maximize zero-policy search (z-axis start + this many
 # random starts drawn from the candidate axes)
 _MAXIMIZE_RESTARTS = 4
 
@@ -60,36 +61,38 @@ _SIGNED_AXES = [
 ]
 
 
-def _check_frames(n: int, frames) -> None:
-    if len(frames) != n:
-        raise ValueError(f"expected {n} frames, got {len(frames)}")
+_I3 = np.eye(3)
 
 
-def _inplane_sq(block: np.ndarray, R_k: np.ndarray, R_l: np.ndarray) -> float:
-    B = R_k @ block @ R_l.T
-    return float(B[0, 0] ** 2 + B[0, 1] ** 2 + B[1, 0] ** 2 + B[1, 1] ** 2)
+def _projectors(axes: np.ndarray) -> list[np.ndarray]:
+    """I - a a^T for every unit axis a: the projector onto its in-plane directions."""
+    return list(_I3 - axes[:, :, None] * axes[:, None, :])
 
 
-def m_kl(state: PureState, frames, k: int, l: int) -> float:
-    """Sum of the four squared in-plane block entries of pair (k, l) in the
-    given frames; always in [0, 2]."""
-    _check_frames(state.n, frames)
+def _inplane_sq(block: np.ndarray, P_k: np.ndarray, P_l: np.ndarray) -> float:
+    B = P_k @ block @ P_l
+    return float(np.vdot(B, B))
+
+
+def m_kl(state: PureState, axes, k: int, l: int) -> float:
+    """Sum of the four squared in-plane block entries of pair (k, l) in frames
+    with the given unit z axes (shape (n, 3)); always in [0, 2]."""
+    P = _projectors(_unit_axes(axes, state.n))
     block = pair_block(reduced_density_pair(state, k, l))
-    return _inplane_sq(block, frames[k], frames[l])
+    return _inplane_sq(block, P[k], P[l])
 
 
-def m_total(state: PureState, frames) -> float:
-    """Sum of m_kl over all qubit pairs in the given frames."""
-    _check_frames(state.n, frames)
+def m_total(state: PureState, axes) -> float:
+    """Sum of m_kl over all qubit pairs for the given unit z axes."""
+    P = _projectors(_unit_axes(axes, state.n))
     _, blocks = marginals(state)
     return sum(
-        _inplane_sq(blocks[k, l], frames[k], frames[l])
-        for k, l in combinations(range(state.n), 2)
+        _inplane_sq(blocks[k, l], P[k], P[l]) for k, l in combinations(range(state.n), 2)
     )
 
 
 def m_pb(state: PureState, policy: ZeroPolicy | None = None) -> float:
-    """Detection value: m_total in per-qubit preferred frames.
+    """Detection value: m_total with every qubit's preferred axis.
 
     For the maximize policy, qubits with vanishing Bloch vector get their z
     axis chosen by seeded random-restart coordinate ascent over the policy's
@@ -101,15 +104,15 @@ def m_pb(state: PureState, policy: ZeroPolicy | None = None) -> float:
     if n == 1:
         return 0.0
     blochs, all_blocks = marginals(state)
-    frames = [preferred_frame(b, policy) for b in blochs]
+    P = _projectors(preferred_axes(blochs, policy))
     blocks = {(k, l): all_blocks[k, l] for k, l in combinations(range(n), 2)}
     zero = [k for k, b in enumerate(blochs) if float(np.linalg.norm(b)) <= EPS_BLOCH]
     if policy.mode == MAXIMIZE and zero:
-        return _maximize_zero_axes(blocks, frames, zero, policy, n)
-    return sum(_inplane_sq(blocks[(k, l)], frames[k], frames[l]) for k, l in blocks)
+        return _maximize_zero_axes(blocks, P, zero, policy)
+    return sum(_inplane_sq(blocks[(k, l)], P[k], P[l]) for k, l in blocks)
 
 
-def _maximize_zero_axes(blocks, base_frames, zero, policy: ZeroPolicy, n: int) -> float:
+def _maximize_zero_axes(blocks, base_projectors, zero, policy: ZeroPolicy) -> float:
     rng = np.random.default_rng(policy.seed)
     candidates: dict[int, list[np.ndarray]] = {}
     for q in zero:  # fixed qubit order keeps the draw sequence deterministic
@@ -119,18 +122,16 @@ def _maximize_zero_axes(blocks, base_frames, zero, policy: ZeroPolicy, n: int) -
         axes[degenerate] = (0.0, 0.0, 1.0)
         norms[degenerate] = 1.0
         axes /= norms[:, None]
-        candidates[q] = [rotation_to_z(a) for a in _SIGNED_AXES] + [
-            rotation_to_z(a) for a in axes
-        ]
+        candidates[q] = _projectors(np.vstack([_SIGNED_AXES, axes]))
 
     pairs = list(blocks)
     pairs_of = {q: [p for p in pairs if q in p] for q in zero}
 
-    def total(frames) -> float:
-        return sum(_inplane_sq(blocks[(k, l)], frames[k], frames[l]) for k, l in pairs)
+    def total(P) -> float:
+        return sum(_inplane_sq(blocks[(k, l)], P[k], P[l]) for k, l in pairs)
 
-    def local_sum(frames, q) -> float:
-        return sum(_inplane_sq(blocks[(k, l)], frames[k], frames[l]) for k, l in pairs_of[q])
+    def local_sum(P, q) -> float:
+        return sum(_inplane_sq(blocks[(k, l)], P[k], P[l]) for k, l in pairs_of[q])
 
     starts = [{q: None for q in zero}]
     for _ in range(_MAXIMIZE_RESTARTS):
@@ -138,33 +139,33 @@ def _maximize_zero_axes(blocks, base_frames, zero, policy: ZeroPolicy, n: int) -
 
     best = -math.inf
     for start in starts:
-        frames = list(base_frames)
+        P = list(base_projectors)
         for q, idx in start.items():
             if idx is not None:
-                frames[q] = candidates[q][idx]
-        value = total(frames)
+                P[q] = candidates[q][idx]
+        value = total(P)
         while True:
             before = value
             for q in zero:
-                current = local_sum(frames, q)
-                best_local, best_frame = current, None
-                saved = frames[q]
-                for F in candidates[q]:
-                    frames[q] = F
-                    s = local_sum(frames, q)
+                current = local_sum(P, q)
+                best_local, best_candidate = current, None
+                saved = P[q]
+                for C in candidates[q]:
+                    P[q] = C
+                    s = local_sum(P, q)
                     if s > best_local:
-                        best_local, best_frame = s, F
-                frames[q] = saved if best_frame is None else best_frame
+                        best_local, best_candidate = s, C
+                P[q] = saved if best_candidate is None else best_candidate
                 value += best_local - current
             if value - before < 1e-9:
                 break
-        best = max(best, total(frames))
+        best = max(best, total(P))
     return best
 
 
 @dataclass(frozen=True)
 class MonogamyReport:
-    """All pairwise trade-off sums for one state in one set of frames, with
+    """All pairwise trade-off sums for one state and one set of axes, with
     the worst slack against each bound (slack < 0 means a violation)."""
 
     n: int
@@ -183,18 +184,16 @@ class MonogamyReport:
         return min(self.pair_slack, self.two_term_slack, self.triple_slack, self.total_slack)
 
 
-def monogamy_check(state: PureState, frames) -> MonogamyReport:
+def monogamy_check(state: PureState, axes) -> MonogamyReport:
     """Evaluate every pairwise bound (<= 2), every common-qubit two-term sum
-    (<= 2), every three-qubit triple sum (<= 3), and the global bound."""
+    (<= 2), every three-qubit triple sum (<= 3), and the global bound, for
+    the given unit z axes (shape (n, 3))."""
     n = state.n
     if n < 2:
         raise ValueError("monogamy bounds need at least 2 qubits")
-    _check_frames(n, frames)
+    P = _projectors(_unit_axes(axes, n))
     _, blocks = marginals(state)
-    values = {
-        (k, l): _inplane_sq(blocks[k, l], frames[k], frames[l])
-        for k, l in combinations(range(n), 2)
-    }
+    values = {(k, l): _inplane_sq(blocks[k, l], P[k], P[l]) for k, l in combinations(range(n), 2)}
 
     two_term: dict[tuple[tuple[int, int], tuple[int, int]], float] = {}
     triple: dict[tuple[int, int, int], float] = {}
@@ -224,7 +223,7 @@ def monogamy_check(state: PureState, frames) -> MonogamyReport:
 
 @dataclass(frozen=True)
 class StressSummary:
-    """Worst observed slacks over a batch of random states in random frames."""
+    """Worst observed slacks over a batch of random states with random axes."""
 
     n: int
     trials: int
@@ -248,20 +247,23 @@ class StressSummary:
 
 def monogamy_stress(n: int, trials: int, seed: int, tol: float = 1e-9) -> StressSummary:
     """Run monogamy_check on Haar-random states with uniformly random local
-    frames; trial i uses state seed ``seed + i``. A violation (slack < -tol)
-    falsifies the implementation, not the bounds."""
+    axes; trial i uses state seed ``seed + i`` and takes its axes as the z rows
+    of ``random_rotation`` draws from rng ``[seed, i]``. A violation
+    (slack < -tol) falsifies the implementation, not the bounds."""
     if n < 2:
         raise ValueError("stress runs need at least 2 qubits")
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     mins = [math.inf] * 4
     max_pair = -math.inf
     violations = 0
     for i in range(trials):
         st = make_random_haar(n, seed + i)
         frame_rng = np.random.default_rng([seed, i])
-        frames = [random_rotation(frame_rng) for _ in range(n)]
-        rep = monogamy_check(st, frames)
+        axes = [random_rotation(frame_rng)[2] for _ in range(n)]
+        rep = monogamy_check(st, axes)
         slacks = (rep.pair_slack, rep.two_term_slack, rep.triple_slack, rep.total_slack)
         mins = [min(a, b) for a, b in zip(mins, slacks)]
         max_pair = max(max_pair, max(rep.pair_values.values()))

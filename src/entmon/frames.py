@@ -1,24 +1,20 @@
-"""Per-qubit preferred Cartesian frames and correlation-block rotations.
+"""Per-qubit preferred axes.
 
-A frame is a proper rotation (3x3 orthogonal, det +1) expressing a qubit's
-correlation indices in new axes; the preferred frame maps the qubit's Bloch
-vector to +z. Only the z direction is pinned by the Bloch vector -- the
-in-plane completion is an arbitrary deterministic choice, and the pairwise
-in-plane quantities built on top are invariant under it.
+A qubit's preferred frame is any frame whose z axis is its Bloch direction.
+The pairwise in-plane quantities depend on the frame only through that axis
+a: the in-plane rows of every such frame span the plane orthogonal to a,
+whose projector is I - a a^T. So a frame is represented by its unit z axis,
+and a set of frames by an (n, 3) array of axes.
 
 Qubits whose Bloch vector vanishes (norm <= EPS_BLOCH) have no distinguished
-z axis; ZeroPolicy selects one. This module provides the mechanism for a
-given axis; the "maximize" search over axes lives in the detector, which owns
-the objective.
+axis; ZeroPolicy selects one. The "maximize" search over axes lives in the
+detector, which owns the objective.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .statevec import PureState
-from .tensor import marginals
 
 # Bloch norms at or below this count as "vanishing": far above rounding noise
 # at n <= 20, far below any physically meaningful Bloch length.
@@ -37,8 +33,8 @@ MAXIMIZE = "maximize"
 class ZeroPolicy:
     """Axis choice for qubits with vanishing Bloch vector.
 
-    canonical: keep the computational z axis (identity frame).
-    axis:      rotate the given unit vector to +z.
+    canonical: keep the computational z axis.
+    axis:      use the given unit vector as the z axis.
     maximize:  search over axes for the largest detection value (resolved by
                the detector; ``samples`` random axes per qubit plus the six
                signed coordinate axes, seeded for reproducibility).
@@ -55,10 +51,12 @@ class ZeroPolicy:
         if self.mode == FIXED_AXIS:
             if self.axis is None:
                 raise ValueError("axis mode requires an axis vector")
-            if abs(float(np.linalg.norm(self.axis)) - 1.0) > ROTATION_TOL:
-                raise ValueError("axis vector must have unit norm")
-        if self.mode == MAXIMIZE and self.samples < 1:
-            raise ValueError(f"sample count must be >= 1, got {self.samples}")
+            _unit_axes([self.axis], 1)
+        if self.mode == MAXIMIZE:
+            if self.samples < 1:
+                raise ValueError(f"sample count must be >= 1, got {self.samples}")
+            if self.seed < 0:
+                raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def canonical(cls) -> "ZeroPolicy":
@@ -67,10 +65,17 @@ class ZeroPolicy:
     @classmethod
     def fixed_axis(cls, axis) -> "ZeroPolicy":
         a = np.asarray(axis, dtype=float)
-        norm = float(np.linalg.norm(a))
-        if norm == 0.0:
+        if a.shape != (3,):
+            raise ValueError(f"axis vector needs three components, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("axis components must be finite")
+        scale = float(np.max(np.abs(a)))
+        if scale == 0.0:
             raise ValueError("axis vector must be nonzero")
-        a = a / norm
+        # scaling by the largest component first keeps the norm from
+        # overflowing (1e300) or underflowing (1e-320)
+        a = a / scale
+        a = a / np.linalg.norm(a)
         return cls(FIXED_AXIS, axis=(float(a[0]), float(a[1]), float(a[2])))
 
     @classmethod
@@ -86,109 +91,43 @@ class ZeroPolicy:
         return CANONICAL
 
 
-def rotation_to_z(axis) -> np.ndarray:
-    """Minimal rotation taking the given direction to +z.
+def _unit_axes(axes, n: int) -> np.ndarray:
+    """``axes`` as an (n, 3) float array; raises ValueError unless every row
+    is a finite vector whose norm is within ROTATION_TOL of 1."""
+    a = np.asarray(axes, dtype=float)
+    if a.shape != (n, 3):
+        raise ValueError(f"expected axes of shape ({n}, 3), got {a.shape}")
+    # a NaN or infinite entry makes its row's comparison False as well
+    if not (np.abs(np.sqrt((a * a).sum(axis=1)) - 1.0) <= ROTATION_TOL).all():
+        raise ValueError("axes must be finite vectors of unit norm")
+    return a
 
-    Rotates about ``axis x z``; returns identity when the direction is +z and
-    the rotation by pi about x when it is -z.
+
+def preferred_axes(bloch, policy: ZeroPolicy | None = None) -> np.ndarray:
+    """Unit z axis of every qubit's preferred frame, shape (n, 3), from the
+    Bloch vectors ``bloch`` (shape (n, 3)).
+
+    Each axis is the qubit's Bloch direction. Where the Bloch vector vanishes
+    it is the policy's own axis under ``axis``, and z under ``canonical`` and
+    as the starting point of the ``maximize`` search.
     """
-    a = np.asarray(axis, dtype=float)
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        raise ValueError("cannot orient the zero vector")
-    a = a / norm
-    c = a[2]
-    v = np.cross(a, _Z)
-    v_sq = float(v @ v)
-    if v_sq < 1e-30:  # (anti)parallel to z within ~1e-15
-        return np.eye(3) if c > 0.0 else np.diag([1.0, -1.0, -1.0])
-    vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
-    # (1-c)/|v|^2 equals 1/(1+c) but stays well-conditioned near antipodal
-    return np.eye(3) + vx + (vx @ vx) * ((1.0 - c) / v_sq)
-
-
-def preferred_frame(b, policy: ZeroPolicy | None = None) -> np.ndarray:
-    """Frame mapping Bloch vector ``b`` to +z; ZeroPolicy decides when ``b``
-    vanishes (identity for canonical and as the maximize starting point)."""
     policy = policy or ZeroPolicy.canonical()
-    b = np.asarray(b, dtype=float)
-    if float(np.linalg.norm(b)) > EPS_BLOCH:
-        return rotation_to_z(b)
-    if policy.mode == FIXED_AXIS:
-        return rotation_to_z(policy.axis)
-    return np.eye(3)
-
-
-def preferred_frames(state: PureState, policy: ZeroPolicy | None = None) -> list[np.ndarray]:
-    """Preferred frame for every qubit of the state."""
-    bloch, _ = marginals(state)
-    return [preferred_frame(b, policy) for b in bloch]
-
-
-def rotate_block(T: np.ndarray, R_k: np.ndarray, R_l: np.ndarray) -> np.ndarray:
-    """Two-index tensor transformation T' = R_k T R_l^T."""
-    return np.asarray(R_k) @ np.asarray(T) @ np.asarray(R_l).T
-
-
-def identity_frames(n: int) -> list[np.ndarray]:
-    return [np.eye(3) for _ in range(n)]
-
-
-def is_rotation(R: np.ndarray, tol: float = ROTATION_TOL) -> bool:
-    """Orthogonal within tol with determinant +1 within tol."""
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
-        return False
-    if np.max(np.abs(R.T @ R - np.eye(3))) > tol:
-        return False
-    return abs(float(np.linalg.det(R)) - 1.0) <= tol
+    bloch = np.asarray(bloch, dtype=float)
+    if bloch.ndim != 2 or bloch.shape[1] != 3:
+        raise ValueError(f"expected Bloch vectors of shape (n, 3), got {bloch.shape}")
+    norms = np.linalg.norm(bloch, axis=1)
+    zero = norms <= EPS_BLOCH
+    axes = np.empty_like(bloch)
+    axes[~zero] = bloch[~zero] / norms[~zero, None]
+    axes[zero] = policy.axis if policy.mode == FIXED_AXIS else _Z
+    return axes
 
 
 def rotation_from_quaternion(q) -> np.ndarray:
     """Rotation matrix for a unit quaternion (w, x, y, z)."""
     w, x, y, z = (float(v) for v in q)
-    v = np.array([x, y, z])
     vx = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
     return np.eye(3) + 2.0 * w * vx + 2.0 * (vx @ vx)
-
-
-def su2_from_rotation(R: np.ndarray) -> np.ndarray:
-    """SU(2) element realizing rotation ``R``: the half-angle rotation about
-    the same axis, with the quaternion scalar part taken non-negative.
-
-    Applying the returned U to a qubit transforms its correlation indices
-    exactly as re-expressing them in the frame ``R``.
-    """
-    R = np.asarray(R, dtype=float)
-    if not is_rotation(R, tol=1e-8):
-        raise ValueError("input is not a proper rotation")
-    t = float(np.trace(R))
-    # Shepperd's method: branch on the largest of (trace, diagonal entries)
-    if t >= max(R[0, 0], R[1, 1], R[2, 2]):
-        w = np.sqrt(1.0 + t) / 2.0
-        x = (R[2, 1] - R[1, 2]) / (4.0 * w)
-        y = (R[0, 2] - R[2, 0]) / (4.0 * w)
-        z = (R[1, 0] - R[0, 1]) / (4.0 * w)
-    elif R[0, 0] >= max(R[1, 1], R[2, 2]):
-        x = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) / 2.0
-        w = (R[2, 1] - R[1, 2]) / (4.0 * x)
-        y = (R[0, 1] + R[1, 0]) / (4.0 * x)
-        z = (R[0, 2] + R[2, 0]) / (4.0 * x)
-    elif R[1, 1] >= R[2, 2]:
-        y = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) / 2.0
-        w = (R[0, 2] - R[2, 0]) / (4.0 * y)
-        x = (R[0, 1] + R[1, 0]) / (4.0 * y)
-        z = (R[1, 2] + R[2, 1]) / (4.0 * y)
-    else:
-        z = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) / 2.0
-        w = (R[1, 0] - R[0, 1]) / (4.0 * z)
-        x = (R[0, 2] + R[2, 0]) / (4.0 * z)
-        y = (R[1, 2] + R[2, 1]) / (4.0 * z)
-    if w < 0.0:
-        w, x, y, z = -w, -x, -y, -z
-    return np.array(
-        [[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]], dtype=np.complex128
-    )
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

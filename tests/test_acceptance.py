@@ -17,7 +17,6 @@ from entmon import (
     dicke_m_pb,
     enumerate_partitions,
     exclusion_report,
-    identity_frames,
     m_pb,
     m_total,
     make_dicke,
@@ -91,7 +90,8 @@ def test_criterion_3_tightness_pair():
     worst_total, worst_pb = 0.0, 0.0
     for n in range(3, 9):
         state = make_plus_product(n)
-        worst_total = max(worst_total, abs(m_total(state, identity_frames(n)) - math.comb(n, 2)))
+        z_axes = np.tile([0.0, 0.0, 1.0], (n, 1))
+        worst_total = max(worst_total, abs(m_total(state, z_axes) - math.comb(n, 2)))
         worst_pb = max(worst_pb, abs(m_pb(state)))
     _verdict(
         3,

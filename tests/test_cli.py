@@ -182,6 +182,36 @@ def test_analyze_family_validation_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "policy_args",
+    [
+        ("--zero-policy", "axis=nan,0,0"),
+        ("--zero-policy", "axis=inf,0,0"),
+        ("--zero-policy", "axis=0,-inf,1"),
+        ("--zero-policy", "maximize", "--seed", "-1"),
+        ("--zero-policy", "maximize:8", "--seed", "-2"),
+    ],
+    ids=["axis nan", "axis inf", "axis -inf", "maximize seed -1", "maximize:8 seed -2"],
+)
+def test_analyze_bad_zero_policy_exits_2(capsys, policy_args):
+    code, out, err = run_cli(capsys, "analyze", "--family", "ghz", "--n", "3", *policy_args)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "extreme, plain",
+    [("axis=1e300,1e300,0", "axis=1,1,0"), ("axis=1e-320,0,0", "axis=1,0,0")],
+)
+def test_analyze_axis_policy_with_extreme_components(capsys, extreme, plain):
+    # the axis is scaled by its largest component before normalizing, so huge
+    # and subnormal components give the same document as plain ones
+    args = ("analyze", "--family", "ghz", "--n", "3", "--zero-policy")
+    code, out, err = run_cli(capsys, *args, extreme)
+    assert code == 0 and err == ""
+    _, want, _ = run_cli(capsys, *args, plain)
+    assert out == want
+
+
 def test_analyze_qubit_cap_env(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("ENTMON_MAX_QUBITS", "3")
     code, _, err = run_cli(capsys, "analyze", "--family", "ghz", "--n", "4")
@@ -272,6 +302,8 @@ def test_stress_validation(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "stress", "--n", "3", "--trials", "0")
     assert code == 2
+    code, out, err = run_cli(capsys, "stress", "--n", "3", "--trials", "5", "--seed", "-3")
+    assert code == 2 and out == "" and "seed" in err
 
 
 def test_stress_deterministic(capsys):

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from entmon import (
     ZeroPolicy,
+    apply_local_unitary,
     depth_threshold,
     enumerate_partitions,
     exclusion_report,
     factorization_residual,
     genuine_threshold,
-    identity_frames,
     m_kl,
     m_pb,
     m_total,
@@ -28,13 +28,19 @@ from entmon import (
     monogamy_check,
     monogamy_stress,
     partition_bound,
-    preferred_frames,
+    preferred_axes,
     random_rotation,
     s_threshold,
     tensor_product,
     verify_partition_term_max,
 )
 from entmon.detector import EPS_DET
+from entmon.tensor import marginals
+from lu_oracles import su2_from_rotation, z_axes
+
+
+def preferred(state):
+    return preferred_axes(marginals(state)[0])
 
 
 def haar_with_bloch(n: int, seed: int, min_norm: float = 1e-6):
@@ -56,35 +62,66 @@ def haar_with_bloch(n: int, seed: int, min_norm: float = 1e-6):
 
 
 def test_m_kl_bell_saturates():
-    assert m_kl(make_ghz(2), identity_frames(2), 0, 1) == pytest.approx(2.0, abs=1e-12)
+    assert m_kl(make_ghz(2), z_axes(2), 0, 1) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_m_kl_plus_product_preferred_is_zero():
     state = make_plus_product(2)
-    assert m_kl(state, preferred_frames(state), 0, 1) == pytest.approx(0.0, abs=1e-12)
+    assert m_kl(state, preferred(state), 0, 1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_m_kl_ghz_identity_is_zero():
-    assert m_kl(make_ghz(3), identity_frames(3), 0, 1) == pytest.approx(0.0, abs=1e-12)
+    assert m_kl(make_ghz(3), z_axes(3), 0, 1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_m_kl_validation():
     g = make_ghz(3)
     with pytest.raises(ValueError):
-        m_kl(g, identity_frames(3), 1, 1)
+        m_kl(g, z_axes(3), 1, 1)
     with pytest.raises(ValueError):
-        m_kl(g, identity_frames(2), 0, 1)
+        m_kl(g, z_axes(2), 0, 1)
+
+
+BAD_AXES = {
+    "too few rows": z_axes(2),
+    "rotation matrices": [np.eye(3)] * 3,
+    "two components": np.zeros((3, 2)),
+    "flat": [0.0, 0.0, 1.0],
+    "nan": [[math.nan, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
+    "inf": [[0.0, 0.0, math.inf], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
+    "zero": [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
+    "norm 2": [[0.0, 0.0, 2.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
+    "norm off by 1e-9": [[0.0, 0.0, 1.0 + 1e-9], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_AXES.values()), ids=list(BAD_AXES))
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda s, a: m_kl(s, a, 0, 1),
+        m_total,
+        monogamy_check,
+    ],
+    ids=["m_kl", "m_total", "monogamy_check"],
+)
+def test_axes_validation(evaluate, bad):
+    state = make_dicke(3, 1)
+    with pytest.raises(ValueError):
+        evaluate(state, bad)
+    # a norm within ROTATION_TOL of 1 is accepted
+    evaluate(state, [[0.0, 0.0, 1.0 + 1e-11], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 def test_m_total_plus_product():
     for n in range(3, 7):
         state = make_plus_product(n)
-        assert m_total(state, identity_frames(n)) == pytest.approx(math.comb(n, 2), abs=1e-9)
-        assert m_total(state, preferred_frames(state)) == pytest.approx(0.0, abs=1e-9)
+        assert m_total(state, z_axes(n)) == pytest.approx(math.comb(n, 2), abs=1e-9)
+        assert m_total(state, preferred(state)) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_m_total_ghz_identity():
-    assert m_total(make_ghz(3), identity_frames(3)) == pytest.approx(0.0, abs=1e-12)
+    assert m_total(make_ghz(3), z_axes(3)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_m_pb_dicke_values():
@@ -99,6 +136,39 @@ def test_m_pb_ghz_policies():
     best = m_pb(g, ZeroPolicy.maximize(samples=64, seed=3))
     assert best >= 3 - 1e-6
     assert best <= 3 + EPS_DET
+
+
+def rotated_ghz(n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    state = make_ghz(n)
+    for q in range(n):
+        state = apply_local_unitary(state, q, su2_from_rotation(random_rotation(rng)))
+    return state
+
+
+# maximize values (samples 16, samples 64; seed 0) computed with the search
+# over full frame rotations that the axis search replaced
+MAXIMIZE_GOLDEN = [
+    ("ghz-3", lambda: make_ghz(3), 2.9999999999999987, 2.9999999999999987),
+    ("ghz-4", lambda: make_ghz(4), 5.999999999999998, 5.999999999999998),
+    ("ghz-5", lambda: make_ghz(5), 9.999999999999998, 9.999999999999998),
+    ("ghz-6", lambda: make_ghz(6), 14.999999999999998, 14.999999999999998),
+    ("rotated-ghz-4", lambda: rotated_ghz(4, 904), 5.992969193693665, 5.99772645874565),
+    ("rotated-ghz-5", lambda: rotated_ghz(5, 905), 9.928256229552156, 9.991961494794616),
+    ("ghz3-w3", lambda: tensor_product(make_ghz(3), make_dicke(3, 1)), 5.666666666666666,
+     5.666666666666666),
+]
+
+
+@pytest.mark.parametrize(
+    "make, at_16, at_64",
+    [row[1:] for row in MAXIMIZE_GOLDEN],
+    ids=[row[0] for row in MAXIMIZE_GOLDEN],
+)
+def test_m_pb_maximize_golden_values(make, at_16, at_64):
+    state = make()
+    assert m_pb(state, ZeroPolicy.maximize(16, seed=0)) == pytest.approx(at_16, rel=1e-12)
+    assert m_pb(state, ZeroPolicy.maximize(64, seed=0)) == pytest.approx(at_64, rel=1e-12)
 
 
 def test_m_pb_maximize_without_zero_bloch_matches_canonical():
@@ -119,9 +189,9 @@ def test_m_kl_range_on_random_states():
     rng = np.random.default_rng(8)
     for seed in range(10):
         state = make_random_haar(4, 800 + seed)
-        frames = [random_rotation(rng) for _ in range(4)]
+        axes = [random_rotation(rng)[2] for _ in range(4)]
         for k, l in itertools.combinations(range(4), 2):
-            v = m_kl(state, frames, k, l)
+            v = m_kl(state, axes, k, l)
             assert -1e-12 <= v <= 2 + EPS_DET
 
 
@@ -134,8 +204,6 @@ def test_m_pb_additivity_on_products():
 
 
 def test_m_pb_local_unitary_invariance():
-    from entmon import apply_local_unitary, su2_from_rotation
-
     rng = np.random.default_rng(77)
     for seed in range(5):
         state = haar_with_bloch(3, 500 + seed)
@@ -145,12 +213,22 @@ def test_m_pb_local_unitary_invariance():
         assert m_pb(rotated) == pytest.approx(m_pb(state), abs=1e-9)
 
 
+def test_canonical_is_not_local_unitary_invariant_for_zero_bloch_qubits():
+    # the README example: a quarter turn about y takes qubit 0's x axis to z
+    x_to_z = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    bell = make_ghz(2)
+    turned = apply_local_unitary(bell, 0, su2_from_rotation(x_to_z))
+    assert m_pb(bell) == pytest.approx(2.0, abs=1e-12)
+    assert m_pb(turned) == pytest.approx(1.0, abs=1e-12)
+    assert m_pb(turned, ZeroPolicy.maximize()) == pytest.approx(2.0, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # monogamy
 
 
 def test_monogamy_bell():
-    rep = monogamy_check(make_ghz(2), identity_frames(2))
+    rep = monogamy_check(make_ghz(2), z_axes(2))
     assert rep.pair_values[(0, 1)] == pytest.approx(2.0, abs=1e-12)
     assert rep.pair_slack == pytest.approx(0.0, abs=1e-12)
     assert rep.total_bound == 2.0
@@ -158,7 +236,7 @@ def test_monogamy_bell():
 
 
 def test_monogamy_w_identity_frames():
-    rep = monogamy_check(make_dicke(3, 1), identity_frames(3))
+    rep = monogamy_check(make_dicke(3, 1), z_axes(3))
     for v in rep.pair_values.values():
         assert v == pytest.approx(8 / 9, abs=1e-12)
     assert rep.triple_sums[(0, 1, 2)] == pytest.approx(8 / 3, abs=1e-12)
@@ -167,7 +245,7 @@ def test_monogamy_w_identity_frames():
 
 def test_monogamy_single_qubit_product_all_zero():
     state = make_plus_product(4)
-    rep = monogamy_check(state, preferred_frames(state))
+    rep = monogamy_check(state, preferred(state))
     assert rep.total == pytest.approx(0.0, abs=1e-12)
     assert all(v == pytest.approx(0.0, abs=1e-12) for v in rep.pair_values.values())
 
@@ -175,8 +253,8 @@ def test_monogamy_single_qubit_product_all_zero():
 def test_monogamy_total_is_sum_of_pairs():
     rng = np.random.default_rng(13)
     state = make_random_haar(4, 99)
-    frames = [random_rotation(rng) for _ in range(4)]
-    rep = monogamy_check(state, frames)
+    axes = [random_rotation(rng)[2] for _ in range(4)]
+    rep = monogamy_check(state, axes)
     assert rep.total == pytest.approx(sum(rep.pair_values.values()), abs=1e-10)
     assert all(v >= 0 for v in rep.pair_values.values())
 
@@ -187,6 +265,11 @@ def test_monogamy_stress_small():
         assert summary.violations == 0
         assert summary.min_slack >= -1e-9
         assert summary.max_pair_value <= 2 + 1e-9
+
+
+def test_monogamy_stress_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        monogamy_stress(3, trials=5, seed=-3)
 
 
 def test_monogamy_stress_deterministic():

@@ -10,24 +10,20 @@ from entmon import (
     ZeroPolicy,
     apply_local_unitary,
     bloch_vector,
-    identity_frames,
-    is_rotation,
     m_kl,
     make_dicke,
     make_ghz,
     make_plus_product,
     make_random_haar,
     pair_block,
-    preferred_frame,
-    preferred_frames,
+    preferred_axes,
     random_rotation,
     reduced_density_pair,
     reduced_density_single,
-    rotate_block,
-    rotation_to_z,
-    su2_from_rotation,
 )
 from entmon.frames import rotation_from_quaternion
+from entmon.tensor import marginals
+from lu_oracles import is_rotation, rotate_block, su2_from_rotation
 
 
 def _rz(theta: float) -> np.ndarray:
@@ -35,28 +31,42 @@ def _rz(theta: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def test_preferred_frame_already_aligned():
-    assert np.allclose(preferred_frame([0, 0, 0.5]), np.eye(3))
+X, Y, Z = np.eye(3)
+POLICIES = {
+    "canonical": ZeroPolicy.canonical(),
+    "axis": ZeroPolicy.fixed_axis([0, 1, 0]),
+    "maximize": ZeroPolicy.maximize(),
+}
 
 
-def test_preferred_frame_x_to_z():
-    R = preferred_frame([1, 0, 0])
-    assert np.allclose(R, [[0, 0, -1], [0, 1, 0], [1, 0, 0]])
-    assert np.allclose(R @ [1, 0, 0], [0, 0, 1])
+@pytest.mark.parametrize(
+    "bloch, expected, under_axis_policy",
+    [
+        ([0.0, 0.0, 0.5], Z, Z),
+        ([0.3, 0.0, 0.0], X, X),
+        ([-0.3, 0.0, 0.0], -X, -X),
+        ([0.0, 0.0, -1.0], -Z, -Z),
+        ([0.0, 0.0, 0.0], Z, Y),
+        ([0.0, 0.0, 1e-10], Z, Y),
+    ],
+    ids=["+z", "+x", "-x", "-z", "zero", "below-eps"],
+)
+def test_preferred_axes_table(bloch, expected, under_axis_policy):
+    # a nonzero Bloch vector fixes the axis under every policy; a vanishing
+    # one gets the axis policy's y, and z otherwise (the maximize search
+    # starts there)
+    for name, policy in POLICIES.items():
+        axes = preferred_axes([bloch, [0.0, 0.6, 0.0]], policy)
+        assert axes.shape == (2, 3)
+        want = under_axis_policy if name == "axis" else expected
+        assert np.array_equal(axes[0], want), name
+        assert np.array_equal(axes[1], Y)
 
 
-def test_preferred_frame_antipodal():
-    R = preferred_frame([0, 0, -1])
-    assert np.allclose(R, np.diag([1.0, -1.0, -1.0]))
-    assert np.allclose(R @ [0, 0, -1], [0, 0, 1])
-
-
-def test_preferred_frame_zero_bloch_policies():
-    zero = [0.0, 0.0, 0.0]
-    assert np.allclose(preferred_frame(zero, ZeroPolicy.canonical()), np.eye(3))
-    R = preferred_frame(zero, ZeroPolicy.fixed_axis([1, 0, 0]))
-    assert np.allclose(R @ [1, 0, 0], [0, 0, 1])
-    assert np.allclose(preferred_frame(zero, ZeroPolicy.maximize()), np.eye(3))
+def test_preferred_axes_rejects_bad_shape():
+    for bad in ([0.0, 0.0, 1.0], np.zeros((2, 2)), np.zeros((1, 3, 3))):
+        with pytest.raises(ValueError):
+            preferred_axes(bad)
 
 
 def test_zero_policy_validation():
@@ -65,50 +75,31 @@ def test_zero_policy_validation():
     with pytest.raises(ValueError):
         ZeroPolicy("axis", axis=(2.0, 0.0, 0.0))
     with pytest.raises(ValueError):
+        ZeroPolicy("axis", axis=(math.nan, 0.0, 0.0))
+    for bad in ([math.nan, 0, 0], [math.inf, 0, 0], [0, -math.inf, 1], [1, 0]):
+        with pytest.raises(ValueError):
+            ZeroPolicy.fixed_axis(bad)
+    with pytest.raises(ValueError):
+        ZeroPolicy.maximize(seed=-1)
+    with pytest.raises(ValueError):
         ZeroPolicy("bogus")
     with pytest.raises(ValueError):
         ZeroPolicy.maximize(samples=0)
     assert ZeroPolicy.canonical().describe() == "canonical"
     assert ZeroPolicy.maximize(samples=32).describe() == "maximize:32"
     assert ZeroPolicy.fixed_axis([0, 0, 1]).describe() == "axis=0,0,1"
-
-
-def test_rotation_to_z_rejects_zero():
-    with pytest.raises(ValueError):
-        rotation_to_z([0, 0, 0])
-
-
-def test_rotation_to_z_stable_near_antipodal():
-    # a naive 1/(1+cos) construction loses every digit (or divides by zero)
-    # for directions this close to -z
-    for eps in (1e-7, 3e-9, 1e-9):
-        for phi in np.linspace(0.0, 2 * math.pi, 7):
-            a = np.array([eps * math.cos(phi), eps * math.sin(phi), -1.0])
-            R = rotation_to_z(a)
-            assert is_rotation(R, tol=1e-12)
-            image = R @ (a / np.linalg.norm(a))
-            assert np.max(np.abs(image - [0, 0, 1])) < 1e-12
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(-1, 1), min_size=3, max_size=3))
-def test_rotation_to_z_maps_axis_to_z(vec):
-    v = np.asarray(vec)
-    norm = np.linalg.norm(v)
-    if norm < 1e-3:
-        return
-    R = rotation_to_z(v)
-    assert is_rotation(R)
-    assert np.max(np.abs(R @ (v / norm) - [0, 0, 1])) < 1e-9
+    # the norm is taken after scaling by the largest component, so it can
+    # neither overflow nor underflow
+    assert ZeroPolicy.fixed_axis([1e300, 1e300, 0]).axis == (0.7071067811865475,) * 2 + (0.0,)
+    assert ZeroPolicy.fixed_axis([1e-320, 0, 0]).axis == (1.0, 0.0, 0.0)
 
 
 def test_preferred_frames_examples():
-    for R in preferred_frames(make_dicke(3, 1)):
-        assert np.allclose(R, np.eye(3))
-    for R in preferred_frames(make_plus_product(3)):
-        assert np.allclose(R @ [1, 0, 0], [0, 0, 1])
-    for R in preferred_frames(make_ghz(4), ZeroPolicy.canonical()):
-        assert np.allclose(R, np.eye(3))
+    # a preferred frame is represented by its z axis
+    assert np.allclose(preferred_axes(marginals(make_dicke(3, 1))[0]), np.tile(Z, (3, 1)))
+    assert np.allclose(preferred_axes(marginals(make_plus_product(3))[0]), np.tile(X, (3, 1)))
+    ghz_bloch = marginals(make_ghz(4))[0]
+    assert np.array_equal(preferred_axes(ghz_bloch, ZeroPolicy.canonical()), np.tile(Z, (4, 1)))
 
 
 def test_preferred_frames_align_bloch():
@@ -117,10 +108,10 @@ def test_preferred_frames_align_bloch():
         blochs = [bloch_vector(reduced_density_single(state, k)) for k in range(4)]
         if min(np.linalg.norm(b) for b in blochs) <= 1e-6:
             continue
-        for R, b in zip(preferred_frames(state), blochs):
-            rotated = R @ b
-            assert abs(rotated[0]) <= 1e-8 and abs(rotated[1]) <= 1e-8
-            assert rotated[2] == pytest.approx(np.linalg.norm(b), abs=1e-9)
+        for policy in (ZeroPolicy.canonical(), ZeroPolicy.fixed_axis([0, 1, 0])):
+            for a, b in zip(preferred_axes(blochs, policy), blochs):
+                assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-15)
+                assert a @ b == pytest.approx(np.linalg.norm(b), abs=1e-12)
 
 
 def test_rotate_block_identity():
@@ -129,7 +120,7 @@ def test_rotate_block_identity():
 
 
 def test_rotate_block_z_block_to_x():
-    R = rotation_to_z([1, 0, 0])
+    R = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])  # x -> z
     T = np.diag([0.0, 0.0, 1.0])
     rotated = rotate_block(T, R, R)
     expected = np.zeros((3, 3))
@@ -196,31 +187,16 @@ def test_state_rotation_matches_block_rotation():
             assert np.max(np.abs(direct - via_block)) < 1e-9
 
 
-def test_in_plane_rotation_leaves_m_kl_unchanged():
-    # only the z direction is pinned by the Bloch vector; any extra rotation
-    # about z on either side must not move the pairwise value
+def test_m_kl_is_in_plane_sum_of_rotated_block():
+    # the central identity: for any frames R_k, R_l, the squared in-plane
+    # entries of R_k T R_l^T depend only on their z rows, which m_kl takes
     rng = np.random.default_rng(41)
-    for seed in range(5):
-        state = make_random_haar(3, 300 + seed)
-        frames = preferred_frames(state)
-        base = m_kl(state, frames, 0, 1)
-        for _ in range(3):
-            spun = list(frames)
-            spun[0] = _rz(rng.uniform(0, 2 * math.pi)) @ spun[0]
-            spun[1] = _rz(rng.uniform(0, 2 * math.pi)) @ spun[1]
-            assert m_kl(state, spun, 0, 1) == pytest.approx(base, abs=1e-10)
-
-
-def test_identity_frames():
-    frames = identity_frames(4)
-    assert len(frames) == 4
-    for f in frames:
-        assert np.allclose(f, np.eye(3))
-
-
-def test_produced_frames_are_rotations():
-    for seed in range(5):
-        state = make_random_haar(4, 4000 + seed)
-        for policy in (ZeroPolicy.canonical(), ZeroPolicy.fixed_axis([0, 1, 0])):
-            for R in preferred_frames(state, policy):
-                assert is_rotation(R)
+    for n in (2, 3, 5):
+        for seed in range(4):
+            state = make_random_haar(n, 300 + 10 * n + seed)
+            rotations = [random_rotation(rng) for _ in range(n)]
+            axes = [R[2] for R in rotations]
+            for k, l in itertools.combinations(range(n), 2):
+                T = pair_block(reduced_density_pair(state, k, l))
+                inplane = rotate_block(T, rotations[k], rotations[l])[:2, :2]
+                assert m_kl(state, axes, k, l) == pytest.approx(np.sum(inplane**2), abs=1e-12)

@@ -23,12 +23,12 @@ from entmon import (
     reduced_density_pair,
     reduced_density_single,
     state_to_json_dict,
-    su2_from_rotation,
     tensor_product,
 )
 from entmon.cli import main, render_json
 from entmon.statevec import PureState
 from entmon.tensor import marginals
+from lu_oracles import su2_from_rotation
 
 
 def random_product(n: int, seed: int) -> PureState:
