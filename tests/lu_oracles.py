@@ -15,6 +15,17 @@ def z_axes(n: int) -> np.ndarray:
     return np.tile([0.0, 0.0, 1.0], (n, 1))
 
 
+def frame_from_axis(axis) -> np.ndarray:
+    """A full frame R whose z row is the unit vector ``axis``: the x row is
+    the coordinate direction least aligned with it, orthogonalized, and the
+    y row completes a right-handed basis."""
+    a = np.asarray(axis, dtype=float)
+    e = np.eye(3)[int(np.argmin(np.abs(a)))]
+    x = e - (e @ a) * a
+    x /= np.linalg.norm(x)
+    return np.stack([x, np.cross(a, x), a])
+
+
 def rotate_block(T: np.ndarray, R_k: np.ndarray, R_l: np.ndarray) -> np.ndarray:
     """Two-index tensor transformation T' = R_k T R_l^T."""
     return np.asarray(R_k) @ np.asarray(T) @ np.asarray(R_l).T

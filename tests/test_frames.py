@@ -23,7 +23,7 @@ from entmon import (
 )
 from entmon.frames import rotation_from_quaternion
 from entmon.tensor import marginals
-from lu_oracles import is_rotation, rotate_block, su2_from_rotation
+from lu_oracles import frame_from_axis, is_rotation, rotate_block, su2_from_rotation
 
 
 def _rz(theta: float) -> np.ndarray:
@@ -112,6 +112,18 @@ def test_preferred_frames_align_bloch():
             for a, b in zip(preferred_axes(blochs, policy), blochs):
                 assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-15)
                 assert a @ b == pytest.approx(np.linalg.norm(b), abs=1e-12)
+
+
+def test_produced_frames_are_rotations():
+    # each produced axis is the z row of a proper rotation
+    for seed in range(5):
+        state = make_random_haar(4, 4000 + seed)
+        bloch = marginals(state)[0]
+        for policy in (ZeroPolicy.canonical(), ZeroPolicy.fixed_axis([0, 1, 0])):
+            for a in preferred_axes(bloch, policy):
+                R = frame_from_axis(a)
+                assert is_rotation(R)
+                assert np.allclose(R[2], a, atol=1e-15)
 
 
 def test_rotate_block_identity():
