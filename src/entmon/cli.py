@@ -18,7 +18,7 @@ import numpy as np
 from . import detector, families
 from .detector import EPS_DET, DetectionReport, exclusion_report
 from .frames import ZeroPolicy
-from .statevec import PureState, state_from_json_bytes
+from .statevec import PureState, _state_from_json_file
 
 
 class InputError(Exception):
@@ -118,13 +118,12 @@ def parse_zero_policy(text: str, seed: int) -> ZeroPolicy:
 
 
 def _load_state_file(path: str) -> PureState:
+    # the file is read inside the parse, so a read failure surfaces there too
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            return _state_from_json_file(fh)
     except OSError as exc:
         raise InputError(f"cannot read state file {path!r}: {exc}") from None
-    try:
-        return state_from_json_bytes(data)
     except json.JSONDecodeError as exc:
         raise InputError(f"state file {path!r} is not valid JSON: {exc}") from None
     except ValueError as exc:

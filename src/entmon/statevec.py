@@ -16,8 +16,11 @@ import math
 import os
 import re
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
+from typing import BinaryIO
 
 import numpy as np
 
@@ -73,8 +76,19 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        self._take(np.array(self.amplitudes, dtype=np.complex128))
+
+    @classmethod
+    def _owning(cls, n: int, amps: np.ndarray) -> PureState:
+        """The state whose amplitudes are ``amps``, a complex128 vector the
+        caller hands over: the constructor's checks, without its copy."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "n", n)
+        state._take(np.asarray(amps, dtype=np.complex128))
+        return state
+
+    def _take(self, amps: np.ndarray) -> None:
         _check_qubit_count(self.n)
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (2**self.n,):
             raise ValueError(
                 f"amplitude vector must have length 2**{self.n} = {2**self.n}, "
@@ -85,7 +99,6 @@ class PureState:
         norm_sq = float(np.vdot(amps, amps).real)
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
-        amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -95,10 +108,12 @@ class PureState:
 
 
 def _normalized(n: int, amps: np.ndarray) -> PureState:
+    """Divide ``amps`` by its norm in place and make it the state's array."""
     norm = float(np.linalg.norm(amps))
     if norm == 0.0:
         raise ValueError("cannot normalize the zero vector")
-    return PureState(n, amps / norm)
+    amps /= norm
+    return PureState._owning(n, amps)
 
 
 def make_basis_state(n: int, bits: str) -> PureState:
@@ -193,19 +208,42 @@ def state_from_json_bytes(data: bytes) -> PureState:
     accepts, with bit-identical amplitudes and the same error messages; any
     failure raises ValueError. The layout entmon writes, ``{"n": <integer>,
     "amplitudes": [[re, im], ...]}`` in that key order with any whitespace,
-    is read in chunks straight into one float64 array, without building a
+    is read in blocks straight into one float64 array, without building a
     Python list per pair.
     """
     parsed = _flat_from_entmon_layout(data)
     if parsed is None:
-        try:
-            obj = json.loads(data.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"contents are not valid UTF-8: {exc}") from None
-        except RecursionError:
-            raise ValueError("JSON arrays or objects are nested too deeply") from None
-        parsed = _flat_from_dict(obj)
+        parsed = _flat_from_json(data)
     return _state_from_flat(*parsed)
+
+
+def _state_from_json_file(fh: BinaryIO) -> PureState:
+    """``state_from_json_bytes(fh.read())`` for a binary file at its start.
+
+    A seekable file in entmon's layout is read in blocks and never held
+    whole. If the block reader declines, the file is read again, whole, for
+    the general path. Read failures propagate as OSError.
+    """
+    if not fh.seekable():
+        return state_from_json_bytes(fh.read())
+    size = fh.seek(0, os.SEEK_END)
+    fh.seek(0)
+    parsed = _flat_from_blocks(iter(partial(fh.read, _CHUNK_BYTES), b""), size)
+    if parsed is None:
+        fh.seek(0)
+        parsed = _flat_from_json(fh.read())
+    return _state_from_flat(*parsed)
+
+
+def _flat_from_json(data: bytes) -> tuple[int, np.ndarray]:
+    """The general path: the whole document through ``json.loads``."""
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"contents are not valid UTF-8: {exc}") from None
+    except RecursionError:
+        raise ValueError("JSON arrays or objects are nested too deeply") from None
+    return _flat_from_dict(obj)
 
 
 def _flat_from_dict(obj) -> tuple[int, np.ndarray]:
@@ -245,60 +283,92 @@ _ENTMON_HEAD = re.compile(
     rb'[ \t\n\r]*\{[ \t\n\r]*"n"[ \t\n\r]*:[ \t\n\r]*(-?(?:0|[1-9][0-9]{0,8}))'
     rb'[ \t\n\r]*,[ \t\n\r]*"amplitudes"[ \t\n\r]*:[ \t\n\r]*\['
 )
-# bytes of the amplitude array parsed per json.loads call (about 1.5k pairs)
+# bytes read per block; one block holds about 1.5k pairs
 _CHUNK_BYTES = 1 << 16
 
 
 def _flat_from_entmon_layout(data: bytes) -> tuple[int, np.ndarray] | None:
-    """Read {"n": <int>, "amplitudes": [[re, im], ...]} without per-pair lists.
+    """``_flat_from_blocks`` over consecutive slices of ``data``."""
+    blocks = (data[i:i + _CHUNK_BYTES] for i in range(0, len(data), _CHUNK_BYTES))
+    return _flat_from_blocks(blocks, len(data))
+
+
+def _flat_from_blocks(blocks: Iterator[bytes], size: int) -> tuple[int, np.ndarray] | None:
+    """Read {"n": <int>, "amplitudes": [[re, im], ...]} without per-pair lists,
+    from the consecutive blocks of a document of ``size`` bytes.
 
     Returns None for any other document, and for any document a check here
     rejects, so that the general parser decides its outcome and message.
     """
-    head = _ENTMON_HEAD.match(data)
+    pending = next(blocks, b"")
+    head = _ENTMON_HEAD.match(pending)
     if head is None:
         return None
     n = int(head.group(1))
     if n < 1 or n > max_qubits():
         return None
     count = 2**n
-    # Deleting every number and whitespace byte must leave the header's
-    # skeleton, then [ + [,], x (2**n - 1) + [,] + ], then }. Compare the
-    # length first, so a short file claiming a large n allocates nothing of
-    # size 2**n.
-    head_skeleton = data[: head.end()].translate(None, _NUMBER_AND_WS)
-    skeleton = data.translate(None, _NUMBER_AND_WS)
-    if len(skeleton) != len(head_skeleton) + 4 * count + 1:
+    # A pair and its separator take at least 6 bytes ("[0,0],"), so a short
+    # file claiming a large n allocates nothing of size 2**n.
+    if size - head.end() < 6 * count:
         return None
-    if skeleton != head_skeleton + b"[,]," * (count - 1) + b"[,]]}":
-        return None
-    del skeleton
-    stop = data.rfind(b"]")
-    if data[stop + 1:].translate(None, _JSON_WS) != b"}":
-        return None
-    # Every ] before stop closes a pair and the next , after it separates
-    # pairs. Each chunk runs from one separator to another, so every byte of
-    # the array is parsed; brackets become spaces (not deleted), so a stray
-    # number next to a bracket cannot merge with its neighbour.
     flat = np.empty(2 * count)
-    pos, filled = head.end(), 0
+    filled = 0
+    pending = pending[head.end():]
     try:
-        while pos < stop:
-            end = stop
-            if pos + _CHUNK_BYTES < stop:
-                close = data.find(b"]", pos + _CHUNK_BYTES, stop)
-                comma = data.find(b",", close, stop) if close >= 0 else -1
-                if comma >= 0:
-                    end = comma
-            values = json.loads(b"[" + data[pos:end].translate(_BRACKETS_TO_SPACES) + b"]")
-            flat[filled:filled + len(values)] = np.fromiter(values, dtype=float, count=len(values))
-            filled += len(values)
-            pos = end + 1
+        for block in blocks:
+            pending += block
+            comma = _last_separator(pending)
+            if comma >= 0:
+                filled = _fill_pairs(flat, filled, pending[:comma])
+                pending = pending[comma + 1:]
+            # a pair longer than a block (a long whitespace run, say) would
+            # make the rescans quadratic; the general path reads it instead
+            if len(pending) > _CHUNK_BYTES:
+                return None
+        # the last pairs, the array's ], then only whitespace and }
+        stop = pending.rfind(b"]")
+        if stop < 0 or pending[stop + 1:].translate(None, _JSON_WS) != b"}":
+            return None
+        filled = _fill_pairs(flat, filled, pending[:stop])
     except (ValueError, OverflowError):
         return None
     if filled != flat.size:
         return None
     return n, flat
+
+
+def _last_separator(pending: bytes) -> int:
+    """Index of the last pair separator (the first , after a ]), or -1.
+
+    In entmon's layout it follows one of the last three ]s, because the text
+    may end after a pair's ] or after the array's ]] with no separator yet.
+    """
+    close = len(pending)
+    for _ in range(3):
+        close = pending.rfind(b"]", 0, close)
+        if close < 0:
+            return -1
+        comma = pending.find(b",", close)
+        if comma >= 0:
+            return comma
+    return -1
+
+
+def _fill_pairs(flat: np.ndarray, filled: int, segment: bytes) -> int:
+    """Parse ``segment``, [re, im] pairs joined by commas, into ``flat`` from
+    index ``filled``; return the new fill. Raises ValueError on anything else.
+    """
+    # Deleting every number and whitespace byte must leave [,],...,[,].
+    # Brackets then become spaces (not deleted), so a stray number next to a
+    # bracket cannot merge with its neighbour.
+    skeleton = segment.translate(None, _NUMBER_AND_WS)
+    pairs = (len(skeleton) + 1) // 4
+    if skeleton != b"[,]," * (pairs - 1) + b"[,]":
+        raise ValueError("not a run of [re, im] pairs")
+    values = json.loads(b"[" + segment.translate(_BRACKETS_TO_SPACES) + b"]")
+    flat[filled:filled + len(values)] = np.fromiter(values, dtype=float, count=len(values))
+    return filled + len(values)
 
 
 def _state_from_flat(n: int, flat: np.ndarray) -> PureState:
@@ -315,7 +385,9 @@ def _state_from_flat(n: int, flat: np.ndarray) -> PureState:
             f"state norm deviates from 1 by {err:.3e}; renormalizing",
             stacklevel=3,
         )
-    return _normalized(n, amps)
+    amps /= norm
+    flat.setflags(write=False)  # the state's array is a view of it
+    return PureState._owning(n, amps)
 
 
 def state_to_json_dict(state: PureState) -> dict:

@@ -231,15 +231,3 @@ def correlation_component(state: PureState, mu: Sequence[int]) -> float:
     op = reduce(np.kron, (PAULI[int(m)] for m in mu))
     value = np.vdot(state.amplitudes, op @ state.amplitudes)
     return float(_real(np.asarray(value), "correlation component"))
-
-
-def is_valid_density(rho: np.ndarray, tol: float = 1e-10) -> bool:
-    """Hermitian within tol, unit trace within tol, eigenvalues >= -tol."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        return False
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
-        return False
-    if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
-        return False
-    return bool(np.min(np.linalg.eigvalsh(rho)) >= -tol)

@@ -1,5 +1,5 @@
-"""Local-unitary oracles for the tests: full 3x3 frame rotations, their
-action on correlation blocks, and their SU(2) lifts.
+"""Oracles for the tests: full 3x3 frame rotations, their action on
+correlation blocks, their SU(2) lifts, and a density-matrix check.
 
 The library works with axes only (a frame is its z axis). These helpers keep
 the rotation picture as an independent reference: rotating a qubit by the
@@ -78,3 +78,15 @@ def su2_from_rotation(R: np.ndarray) -> np.ndarray:
     return np.array(
         [[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]], dtype=np.complex128
     )
+
+
+def is_valid_density(rho: np.ndarray, tol: float = 1e-10) -> bool:
+    """Hermitian within tol, unit trace within tol, eigenvalues >= -tol."""
+    rho = np.asarray(rho, dtype=np.complex128)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        return False
+    if np.max(np.abs(rho - rho.conj().T)) > tol:
+        return False
+    if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
+        return False
+    return bool(np.min(np.linalg.eigvalsh(rho)) >= -tol)

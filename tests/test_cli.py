@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 from pathlib import Path
@@ -12,6 +13,7 @@ from entmon import (
     state_from_json_dict,
     state_to_json_dict,
 )
+from entmon import cli
 from entmon.cli import main, parse_zero_policy, render_json
 
 DATA = Path(__file__).parent / "data"
@@ -142,6 +144,30 @@ def test_analyze_loader_errors_exit_2(capsys, tmp_path, case):
     path.write_bytes(data)
     code, out, err = run_cli(capsys, "analyze", "--state", str(path))
     assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize("seekable, failing_read", [(True, 2), (False, 1)])
+def test_analyze_read_failure_exits_2(capsys, monkeypatch, seekable, failing_read):
+    # a seekable file is read block by block inside the parse, so a read can
+    # fail after the first block has been parsed
+    data = json.dumps(state_to_json_dict(make_random_haar(12, 1))).encode()
+
+    class FailingFile(io.BytesIO):
+        reads = 0
+
+        def seekable(self):
+            return seekable
+
+        def read(self, size=-1):
+            self.reads += 1
+            if self.reads == failing_read:
+                raise OSError(errno.EIO, "Input/output error")
+            return super().read(size)
+
+    monkeypatch.setattr(cli, "open", lambda path, mode: FailingFile(data), raising=False)
+    code, out, err = run_cli(capsys, "analyze", "--state", "state.json")
+    assert code == 2 and out == ""
+    assert "cannot read state file 'state.json'" in err and "Input/output error" in err
 
 
 def test_analyze_haar_16_file_matches_general_path(capsys, tmp_path):

@@ -7,6 +7,7 @@ agreement would hold trivially.
 """
 import json
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entmon import statevec as sv
+from entmon.cli import _load_state_file
 
 WHITESPACE = ["", " ", "  ", "\n", "\n  ", "\t", "\r\n"]
 
@@ -189,6 +191,42 @@ def test_claimed_large_n_rejected_without_allocating(monkeypatch):
         assert peak < 2**20
 
 
+def test_file_load_peaks_near_one_state(tmp_path):
+    # the file is read in blocks into the one array the state keeps, so the
+    # peak is that state (1 MiB at n = 16) plus a block's worth of parsing;
+    # holding the 3.2 MB file and three copies of the state peaks at 6 MiB
+    n = 16
+    path = tmp_path / "haar16.json"
+    path.write_text(json.dumps(sv.state_to_json_dict(sv.make_random_haar(n, 8))))
+    tracemalloc.start()
+    try:
+        state = _load_state_file(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.n == n
+    assert peak < 1.25 * 2**n * 16 + 2**20
+
+
+def test_state_keeps_the_loaded_or_drawn_array():
+    # one extra copy of the state would still fit under the bound above
+    flat = np.array([0.6, 0.0, 0.0, 0.8])
+    assert np.shares_memory(sv._state_from_flat(1, flat).amplitudes, flat)
+    z = np.array([3.0, 4.0j])
+    assert np.shares_memory(sv._normalized(1, z).amplitudes, z)
+
+
+def test_unseekable_file_takes_the_bytes_path():
+    data = json.dumps(sv.state_to_json_dict(sv.make_random_haar(3, 6))).encode()
+    read_end, write_end = os.pipe()
+    with open(write_end, "wb") as out:
+        out.write(data)
+    with open(read_end, "rb") as fh:
+        assert not fh.seekable()
+        state = sv._state_from_json_file(fh)
+    assert state.amplitudes.tobytes() == sv.state_from_json_bytes(data).amplitudes.tobytes()
+
+
 def test_overflowing_number_on_chunked_path_is_not_finite():
     data = b'{"n": 1, "amplitudes": [[1e999, 0], [0, 0]]}'
     assert sv._flat_from_entmon_layout(data) is not None
@@ -203,3 +241,16 @@ def test_renormalization_warning_on_chunked_path():
     with pytest.warns(UserWarning, match="renormalizing"):
         state = sv.state_from_json_bytes(data)
     assert math.isclose(abs(state.amplitudes[0]), 1.0, abs_tol=1e-15)
+
+
+@pytest.mark.parametrize("separators", [(", ", ": "), (" ,\n ", " : ")])
+def test_block_ends_at_every_offset_of_a_pair(monkeypatch, separators):
+    # 128-byte blocks hold about two pairs; shifting the document by leading
+    # whitespace makes some block end at every byte of a pair and its
+    # separator, between a ] and its , too
+    monkeypatch.setattr(sv, "_CHUNK_BYTES", 128)
+    doc = json.dumps(sv.state_to_json_dict(sv.make_random_haar(4, 9)), separators=separators)
+    for shift in range(64):
+        data = (" " * shift + doc).encode()
+        assert sv._flat_from_entmon_layout(data) is not None
+        assert_paths_agree(data)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -168,6 +169,32 @@ def test_states_immutable():
     s = sv.make_ghz(2)
     with pytest.raises(ValueError):
         s.amplitudes[0] = 0.0
+
+
+def test_constructor_copies_the_callers_array():
+    amps = np.array([1.0, 0.0], dtype=np.complex128)
+    state = sv.PureState(1, amps)
+    amps[:] = [0.0, 1.0]
+    assert state.amplitudes.tolist() == [1.0, 0.0]
+    assert not np.shares_memory(state.amplitudes, amps)
+
+
+def test_loaded_and_haar_states_are_read_only():
+    doc = sv.state_to_json_dict(sv.make_random_haar(3, 4))
+    states = [
+        sv.make_random_haar(3, 4),
+        sv.state_from_json_dict(doc),
+        sv.state_from_json_bytes(json.dumps(doc).encode()),
+        sv.state_from_json_bytes(json.dumps(doc, indent=1, sort_keys=True).encode()),
+    ]
+    for state in states:
+        arrays = [state.amplitudes]
+        if state.amplitudes.base is not None:
+            arrays.append(state.amplitudes.base)
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 def test_rejects_unnormalized_direct_construction():

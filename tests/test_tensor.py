@@ -6,7 +6,6 @@ import pytest
 from entmon import (
     bloch_vector,
     correlation_component,
-    is_valid_density,
     make_basis_state,
     make_dicke,
     make_ghz,
@@ -17,6 +16,7 @@ from entmon import (
     reduced_density_single,
     tensor_product,
 )
+from lu_oracles import is_valid_density
 
 
 def test_reduced_single_product_state():
