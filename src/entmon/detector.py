@@ -26,9 +26,9 @@ from .frames import (
     EPS_BLOCH,
     MAXIMIZE,
     ZeroPolicy,
+    _random_axes,
     _unit_axes,
     preferred_axes,
-    random_rotation,
 )
 from .statevec import PureState, make_random_haar
 from .tensor import (
@@ -248,7 +248,7 @@ class StressSummary:
 def monogamy_stress(n: int, trials: int, seed: int, tol: float = 1e-9) -> StressSummary:
     """Run monogamy_check on Haar-random states with uniformly random local
     axes; trial i uses state seed ``seed + i`` and takes its axes as the z rows
-    of ``random_rotation`` draws from rng ``[seed, i]``. A violation
+    of n ``random_rotation`` draws from rng ``[seed, i]``. A violation
     (slack < -tol) falsifies the implementation, not the bounds."""
     if n < 2:
         raise ValueError("stress runs need at least 2 qubits")
@@ -262,8 +262,7 @@ def monogamy_stress(n: int, trials: int, seed: int, tol: float = 1e-9) -> Stress
     for i in range(trials):
         st = make_random_haar(n, seed + i)
         frame_rng = np.random.default_rng([seed, i])
-        axes = [random_rotation(frame_rng)[2] for _ in range(n)]
-        rep = monogamy_check(st, axes)
+        rep = monogamy_check(st, _random_axes(frame_rng, n))
         slacks = (rep.pair_slack, rep.two_term_slack, rep.triple_slack, rep.total_slack)
         mins = [min(a, b) for a, b in zip(mins, slacks)]
         max_pair = max(max_pair, max(rep.pair_values.values()))

@@ -135,3 +135,16 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     q = rng.standard_normal(4)
     q /= np.linalg.norm(q)
     return rotation_from_quaternion(q)
+
+
+def _random_axes(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Z rows of n ``random_rotation(rng)`` draws, shape (n, 3), from one
+    (n, 4) quaternion draw: the same stream, without building the matrices.
+    The z row of the rotation of (w, x, y, z) is
+    (2(xz - wy), 2(yz + wx), 1 - 2(x^2 + y^2))."""
+    q = rng.standard_normal((n, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    w, x, y, z = q.T
+    return np.stack(
+        (2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)), axis=1
+    )

@@ -166,7 +166,12 @@ def make_random_haar(n: int, seed: int) -> PureState:
     _check_qubit_count(n)
     rng = np.random.default_rng(seed)
     dim = 2**n
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    # the draws go straight into one complex array, real part first as in
+    # standard_normal + 1j * standard_normal, so the peak is the state plus
+    # one float draw
+    z = np.empty(dim, dtype=np.complex128)
+    z.real = rng.standard_normal(dim)
+    z.imag = rng.standard_normal(dim)
     return _normalized(n, z)
 
 

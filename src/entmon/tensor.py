@@ -16,7 +16,6 @@ Correlation values are mathematically real; a residual imaginary part above
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -148,42 +147,51 @@ def marginals(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     entries need a pass per pair: the sums
     A = sum psi(..0..0..) conj psi(..1..1..) and
     B = sum psi(..0..1..) conj psi(..1..0..), over strided views of the
-    state. Transient memory is a few vectors of length 2**n.
+    state. For each k, the sums of c_k and the A and B of every l > k read
+    psi[x_k=0] and one buffer holding conj(psi[x_k=1]); c_k is never stored,
+    so the transient memory is that buffer, half a state, plus vectors of
+    length O(2**(n/2)).
     """
     n = state.n
     psi = state.amplitudes
-    # one workspace allocation holds conj(psi) and, in its last third, p and
-    # then each c_k in turn: repeated calls leave no freed 2**n-sized blocks
-    # scattered through the heap (peak RSS on large files stays flat)
-    work = np.empty(3 << (n - 1), dtype=np.complex128)
-    cpsi = np.conjugate(psi, out=work[: 1 << n])
-    c = work[1 << n :]
-    p = np.abs(psi, out=c.view(np.float64))
+    # the only state-sized transient is half a state: it holds p = |psi|^2,
+    # then, for each qubit k in turn, conj(psi[x_k=1]); one allocation per
+    # call leaves no freed 2**n-sized blocks scattered through the heap
+    work = np.empty(1 << (n - 1), dtype=np.complex128)
+    p = np.abs(psi, out=work.view(np.float64))
     G = _sign_moments(np.square(p, out=p), n)
 
-    # row k: sum c_k, then sum c_k s_l for the other qubits l in order
+    # row k: sum c_k, then sum c_k s_l for the other qubits l in order, from
+    # the row and column sums of c_k split as 2**h x W (never stored)
     m = n - 1
     h = m // 2
+    W = 1 << (m - h)
     hi = _sign_table(h, np.complex128)
     lo = _sign_table(m - h, np.complex128)[:, 1:]
     c_sums = np.empty((n, n), dtype=np.complex128)
-    c_split = c.reshape(1 << h, -1)
-    for k in range(n):
-        halves = psi.reshape(1 << k, 2, -1)
-        chalves = cpsi.reshape(1 << k, 2, -1)
-        np.multiply(halves[:, 0], chalves[:, 1], out=c.reshape(1 << k, -1))
-        np.dot(c_split.sum(axis=1), hi, out=c_sums[k, : h + 1])
-        np.dot(c_split.sum(axis=0), lo, out=c_sums[k, h + 1 :])
-
     # A[k, l] and B[k, l] for k < l; swapping k and l keeps A, conjugates B
     A = np.zeros((n, n), dtype=np.complex128)
     B = np.zeros((n, n), dtype=np.complex128)
-    for k, l in combinations(range(n), 2):
-        shape = (1 << k, 2, 1 << (l - k - 1), 2, -1)
-        a = psi.reshape(shape)
-        b = cpsi.reshape(shape)
-        A[k, l] = np.einsum("iab,iab->", a[:, 0, :, 0], b[:, 1, :, 1])
-        B[k, l] = np.einsum("iab,iab->", a[:, 0, :, 1], b[:, 1, :, 0])
+    for k in range(n):
+        L = 1 << (m - k)
+        halves = psi.reshape(1 << k, 2, L)
+        a = halves[:, 0]
+        b = np.conjugate(halves[:, 1], out=work.reshape(1 << k, L))
+        if L >= W:
+            a3, b3 = a.reshape(1 << k, L // W, W), b.reshape(1 << k, L // W, W)
+            rows = np.einsum("iuw,iuw->iu", a3, b3).ravel()
+            cols = np.einsum("iuw,iuw->w", a3, b3)
+        else:
+            a3, b3 = a.reshape(1 << h, W // L, L), b.reshape(1 << h, W // L, L)
+            rows = np.einsum("ivl,ivl->i", a3, b3)
+            cols = np.einsum("ivl,ivl->vl", a3, b3).ravel()
+        np.dot(rows, hi, out=c_sums[k, : h + 1])
+        np.dot(cols, lo, out=c_sums[k, h + 1 :])
+        for l in range(k + 1, n):
+            shape = (1 << k, 1 << (l - k - 1), 2, -1)
+            a_l, b_l = a.reshape(shape), b.reshape(shape)
+            A[k, l] = np.einsum("iab,iab->", a_l[:, :, 0], b_l[:, :, 1])
+            B[k, l] = np.einsum("iab,iab->", a_l[:, :, 1], b_l[:, :, 0])
     A += A.T
     B += B.conj().T
 

@@ -21,7 +21,7 @@ from entmon import (
     reduced_density_pair,
     reduced_density_single,
 )
-from entmon.frames import rotation_from_quaternion
+from entmon.frames import _random_axes, rotation_from_quaternion
 from entmon.tensor import marginals
 from lu_oracles import frame_from_axis, is_rotation, rotate_block, su2_from_rotation
 
@@ -155,6 +155,19 @@ def test_random_rotation_is_rotation():
     rng = np.random.default_rng(5)
     for _ in range(50):
         assert is_rotation(random_rotation(rng))
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 13])
+def test_random_axes_are_the_z_rows_of_random_rotations(n):
+    # one (n, 4) draw must consume the same stream as n draws of 4, so
+    # monogamy_stress keeps its seeding contract without building rotations
+    for seed in range(50):
+        fast, ref = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+        axes = _random_axes(fast, n)
+        want = np.array([random_rotation(ref)[2] for _ in range(n)])
+        assert axes.shape == (n, 3)
+        assert np.max(np.abs(axes - want)) <= 4e-15
+        assert fast.bit_generator.state == ref.bit_generator.state
 
 
 def test_su2_lift_of_z_rotation():

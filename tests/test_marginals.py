@@ -3,6 +3,7 @@ full-operator oracle, and the detector outputs it feeds."""
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,26 @@ def test_kernel_outputs_are_read_only_real_and_symmetric():
     assert not np.any(blocks[np.arange(5), np.arange(5)])
     with pytest.raises(ValueError):
         blocks[0, 1, 0, 0] = 1.0
+
+
+def test_kernel_workspace_is_half_a_state():
+    # conj(psi[x_k=1]) in one half-state buffer is the only state-sized
+    # transient; a full conj(psi) copy plus a stored c_k peaks at 1.5 states
+    n = 16
+    state = make_random_haar(n, 16)
+    before = state.amplitudes.tobytes()
+    first = marginals(state)
+    tracemalloc.start()
+    try:
+        second = marginals(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2**n * 16 + 256 * 2**10
+    assert state.amplitudes.tobytes() == before
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
+        assert not a.flags.writeable and not b.flags.writeable
 
 
 def permuted(state: PureState, perm: list[int]) -> PureState:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,30 @@ def test_haar_normalized():
     for seed in range(5):
         s = sv.make_random_haar(3, seed)
         assert abs(np.vdot(s.amplitudes, s.amplitudes).real - 1) < 1e-12
+
+
+def test_haar_draw_is_the_summed_normal_draws():
+    # the draws are written into one complex array; the amplitudes must keep
+    # the bytes of standard_normal + 1j * standard_normal, normalized
+    for n in range(1, 17):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            z = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+            z /= np.linalg.norm(z)
+            assert sv.make_random_haar(n, seed).amplitudes.tobytes() == z.tobytes(), (n, seed)
+
+
+def test_haar_draw_peaks_near_one_and_a_half_states():
+    # the state plus one float draw; the summed draws peak at about 2.1 states
+    n = 16
+    sv.make_random_haar(n, 3)
+    tracemalloc.start()
+    try:
+        sv.make_random_haar(n, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**n * 16 + 2**16
 
 
 def test_haar_first_amplitude_mean():
