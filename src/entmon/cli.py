@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import detector, families
-from .detector import EPS_DET, DetectionReport, exclusion_report
+from .detector import DetectionReport, _exceeds, exclusion_report
 from .frames import ZeroPolicy
 from .statevec import PureState, _state_from_json_file
 
@@ -194,17 +194,18 @@ def _report_text(report: DetectionReport, source: str, residual: float | None) -
         "",
     ]
     if report.n == 2:
+        bound = detector._monogamy_bounds(2)["pair"]
         lines.append("note: k-product / depth thresholds require n >= 3; reporting the")
         lines.append("      global pair bound and the factorization residual only.")
-        lines.append(f"pair bound: 2   value {_fmt(report.m_pb)}   "
-                     + ("within bound" if report.m_pb <= 2 + EPS_DET else "EXCEEDED (bug)"))
+        lines.append(f"pair bound: {bound:g}   value {_fmt(report.m_pb)}   "
+                     + ("EXCEEDED (bug)" if _exceeds(report.m_pb, bound) else "within bound"))
         if residual is not None:
-            verdict = "consistent with a product pair" if residual <= 1e-9 else "pair is not product"
+            verdict = "pair is not product" if _exceeds(residual, 0.0) else "consistent with a product pair"
             lines.append(f"factorization residual: {_fmt(residual)}   ({verdict})")
     else:
         lines.append("k-product thresholds (value > threshold => not k-product):")
         for k, s in sorted(report.s_thresholds.items()):
-            mark = "exceeded" if report.m_pb > s + EPS_DET else "not exceeded"
+            mark = "exceeded" if _exceeds(report.m_pb, s) else "not exceeded"
             lines.append(f"  s_{k} = {_fmt(s)}   {mark}")
         gt = report.genuine_threshold
         mark = "exceeded" if report.genuine_multipartite else "not exceeded"
@@ -214,7 +215,7 @@ def _report_text(report: DetectionReport, source: str, residual: float | None) -
         if report.depth_thresholds:
             lines.append("depth thresholds (bipartition family):")
             for m, t in sorted(report.depth_thresholds.items()):
-                mark = "exceeded" if report.m_pb > t + EPS_DET else "not exceeded"
+                mark = "exceeded" if _exceeds(report.m_pb, t) else "not exceeded"
                 lines.append(f"  m={m}: {_fmt(t)}   {mark}")
             if report.depth_statement_m is not None:
                 lines.append(
@@ -319,10 +320,8 @@ def cmd_stress(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from None
     fams = [
-        ("pair", 2.0, summary.min_pair_slack),
-        ("two_term", 2.0, summary.min_two_term_slack),
-        ("triple", 3.0, summary.min_triple_slack),
-        ("total", 2.0 if args.n == 2 else float(math.comb(args.n, 2)), summary.min_total_slack),
+        (name, bound, getattr(summary, f"min_{name}_slack"))
+        for name, bound in detector._monogamy_bounds(args.n).items()
     ]
     if args.format == "json":
         doc = {
@@ -367,9 +366,7 @@ def cmd_partitions(args) -> int:
         {"parts": list(parts), "k": len(parts), "bound": bound, "excluded": excluded}
         for parts, bound, excluded in detector.partition_table(n, value)
     ]
-    s_thr = {k: detector.s_threshold(n, k) for k in range(2, n)} if n >= 3 else {}
-    gt = detector.genuine_threshold(n) if n >= 3 else None
-    depth = {m: detector.depth_threshold(n, m) for m in range(1, n // 2)} if n >= 5 else {}
+    s_thr, gt, depth = detector._threshold_families(n)
     if args.format == "json":
         doc = {
             "n": n,
@@ -392,16 +389,11 @@ def cmd_partitions(args) -> int:
             ]
             for row in table
         ]
-        for k, s in sorted(s_thr.items()):
-            rows.append(["s_threshold", "", k, float(s), "exceeded" if value > s + EPS_DET else ""])
-        if gt is not None:
-            rows.append(
-                ["genuine_threshold", "", "", float(gt), "exceeded" if value > gt + EPS_DET else ""]
-            )
-        for m, t in sorted(depth.items()):
-            rows.append(
-                ["depth_threshold", "", m, float(t), "exceeded" if value > t + EPS_DET else ""]
-            )
+        thresholds = [("s_threshold", k, s) for k, s in sorted(s_thr.items())]
+        thresholds += [("genuine_threshold", "", gt)] if gt is not None else []
+        thresholds += [("depth_threshold", m, t) for m, t in sorted(depth.items())]
+        for kind, k_or_m, t in thresholds:
+            rows.append([kind, "", k_or_m, float(t), "exceeded" if _exceeds(value, t) else ""])
         _write_csv(header, rows)
     else:
         print(f"partitions of n={n} against value {_fmt(value)}:")

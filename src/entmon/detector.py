@@ -7,7 +7,9 @@ qubit's z axis: ||P_k T_kl P_l||_F^2 with P = I - a a^T for the unit axis a.
 Summed over all pairs with preferred axes it becomes the detection value
 M^(pb). A pure state that factors as a product over a partition
 (r_1, ..., r_k) can reach at most sum C(r_m, 2) + #{r_m = 2}, so exceeding
-that bound excludes the partition.
+that bound excludes the partition. Every verdict here, on a partition, a
+threshold or a monogamy sum, is one comparison: ``_exceeds``, the value
+beats the bound by more than EPS_DET.
 
 All functions are pure over immutable inputs; stress runs derive per-trial
 seeds from the master seed (seed + trial index) so results are reproducible
@@ -31,21 +33,20 @@ from .frames import (
     preferred_axes,
 )
 from .statevec import PureState, make_random_haar
-from .tensor import (
-    bloch_vector,
-    marginals,
-    pair_block,
-    reduced_density_pair,
-    reduced_density_single,
-)
+from .tensor import marginals
 
 # strict-inequality margin for every exclusion verdict: the criteria require
 # ">", and the margin keeps rounding from manufacturing entanglement claims
 EPS_DET = 1e-9
 
-PAIR_BOUND = 2.0
-TWO_TERM_BOUND = 2.0
-TRIPLE_BOUND = 3.0
+
+def _exceeds(value: float, bound: float) -> bool:
+    """The one verdict rule: ``value`` beats ``bound`` by more than EPS_DET.
+
+    Every partition, threshold and monogamy verdict goes through it.
+    """
+    return value > bound + EPS_DET
+
 
 # restarts for the maximize zero-policy search (z-axis start + this many
 # random starts drawn from the candidate axes)
@@ -74,12 +75,20 @@ def _inplane_sq(block: np.ndarray, P_k: np.ndarray, P_l: np.ndarray) -> float:
     return float(np.vdot(B, B))
 
 
+def _check_pair(n: int, k: int, l: int) -> None:
+    if k == l:
+        raise ValueError("pair indices must be distinct")
+    if not 0 <= k < l < n:
+        raise ValueError(f"pair indices must satisfy 0 <= k < l < {n}, got ({k}, {l})")
+
+
 def m_kl(state: PureState, axes, k: int, l: int) -> float:
     """Sum of the four squared in-plane block entries of pair (k, l) in frames
     with the given unit z axes (shape (n, 3)); always in [0, 2]."""
     P = _projectors(_unit_axes(axes, state.n))
-    block = pair_block(reduced_density_pair(state, k, l))
-    return _inplane_sq(block, P[k], P[l])
+    _check_pair(state.n, k, l)
+    _, blocks = marginals(state)
+    return _inplane_sq(blocks[k, l], P[k], P[l])
 
 
 def m_total(state: PureState, axes) -> float:
@@ -184,6 +193,14 @@ class MonogamyReport:
         return min(self.pair_slack, self.two_term_slack, self.triple_slack, self.total_slack)
 
 
+def _monogamy_bounds(n: int) -> dict[str, float]:
+    """The bound of each monogamy family of n qubits, in report order: every
+    pair value, every two-term sum over a common qubit, every triple sum, and
+    the total (2 for one pair, C(n,2) beyond)."""
+    total = 2.0 if n == 2 else float(math.comb(n, 2))
+    return {"pair": 2.0, "two_term": 2.0, "triple": 3.0, "total": total}
+
+
 def monogamy_check(state: PureState, axes) -> MonogamyReport:
     """Evaluate every pairwise bound (<= 2), every common-qubit two-term sum
     (<= 2), every three-qubit triple sum (<= 3), and the global bound, for
@@ -206,18 +223,18 @@ def monogamy_check(state: PureState, axes) -> MonogamyReport:
             triple[(k, l, m)] = values[(k, l)] + values[(l, m)] + values[(k, m)]
 
     total = sum(values.values())
-    total_bound = 2.0 if n == 2 else float(math.comb(n, 2))
+    bounds = _monogamy_bounds(n)
     return MonogamyReport(
         n=n,
         pair_values=values,
         two_term_sums=two_term,
         triple_sums=triple,
         total=total,
-        total_bound=total_bound,
-        pair_slack=min(PAIR_BOUND - v for v in values.values()),
-        two_term_slack=min((TWO_TERM_BOUND - v for v in two_term.values()), default=math.inf),
-        triple_slack=min((TRIPLE_BOUND - v for v in triple.values()), default=math.inf),
-        total_slack=total_bound - total,
+        total_bound=bounds["total"],
+        pair_slack=min(bounds["pair"] - v for v in values.values()),
+        two_term_slack=min((bounds["two_term"] - v for v in two_term.values()), default=math.inf),
+        triple_slack=min((bounds["triple"] - v for v in triple.values()), default=math.inf),
+        total_slack=bounds["total"] - total,
     )
 
 
@@ -245,17 +262,19 @@ class StressSummary:
         )
 
 
-def monogamy_stress(n: int, trials: int, seed: int, tol: float = 1e-9) -> StressSummary:
+def monogamy_stress(n: int, trials: int, seed: int) -> StressSummary:
     """Run monogamy_check on Haar-random states with uniformly random local
     axes; trial i uses state seed ``seed + i`` and takes its axes as the z rows
-    of n ``random_rotation`` draws from rng ``[seed, i]``. A violation
-    (slack < -tol) falsifies the implementation, not the bounds."""
+    of n ``random_rotation`` draws from rng ``[seed, i]``. A violation (a sum
+    that exceeds its bound by the verdict rule) falsifies the implementation,
+    not the bounds."""
     if n < 2:
         raise ValueError("stress runs need at least 2 qubits")
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    bounds = _monogamy_bounds(n)
     mins = [math.inf] * 4
     max_pair = -math.inf
     violations = 0
@@ -266,10 +285,9 @@ def monogamy_stress(n: int, trials: int, seed: int, tol: float = 1e-9) -> Stress
         slacks = (rep.pair_slack, rep.two_term_slack, rep.triple_slack, rep.total_slack)
         mins = [min(a, b) for a, b in zip(mins, slacks)]
         max_pair = max(max_pair, max(rep.pair_values.values()))
-        violations += sum(1 for v in rep.pair_values.values() if PAIR_BOUND - v < -tol)
-        violations += sum(1 for v in rep.two_term_sums.values() if TWO_TERM_BOUND - v < -tol)
-        violations += sum(1 for v in rep.triple_sums.values() if TRIPLE_BOUND - v < -tol)
-        violations += 1 if rep.total_slack < -tol else 0
+        sums = (rep.pair_values.values(), rep.two_term_sums.values(), rep.triple_sums.values(),
+                (rep.total,))
+        violations += sum(_exceeds(v, b) for b, vs in zip(bounds.values(), sums) for v in vs)
     return StressSummary(
         n=n,
         trials=trials,
@@ -332,7 +350,7 @@ def partition_table(n: int, value: float) -> list[tuple[tuple[int, ...], float, 
     table = []
     for parts in enumerate_partitions(n):
         bound = partition_bound(parts)
-        table.append((parts, bound, len(parts) > 1 and value > bound + EPS_DET))
+        table.append((parts, bound, len(parts) > 1 and _exceeds(value, bound)))
     return table
 
 
@@ -352,14 +370,11 @@ def s_threshold(n: int, k: int) -> float:
 
 
 def genuine_threshold(n: int) -> float:
-    """Exceeding this value certifies genuine n-partite entanglement."""
+    """Exceeding this value certifies genuine n-partite entanglement: it is
+    s_2, the threshold for "not biproduct"."""
     if n < 3:
         raise ValueError(f"genuine-multipartite threshold needs n >= 3, got {n}")
-    if n == 3:
-        return 2.0
-    if n == 4:
-        return 4.0
-    return float(math.comb(n - 1, 2))
+    return s_threshold(n, 2)
 
 
 def depth_threshold(n: int, m: int) -> float:
@@ -369,6 +384,15 @@ def depth_threshold(n: int, m: int) -> float:
     if not 1 <= m <= n // 2 - 1:
         raise ValueError(f"m must satisfy 1 <= m <= {n // 2 - 1}, got {m}")
     return float(math.comb(m, 2) + math.comb(n - m, 2) + (1 if m == 2 else 0))
+
+
+def _threshold_families(n: int) -> tuple[dict[int, float], float | None, dict[int, float]]:
+    """The threshold families of n: s_k for k = 2..n-1 and the genuine
+    threshold s_2 when n >= 3, and the depth thresholds for m = 1..n//2 - 1
+    when n >= 5; empty families (and None) below that."""
+    s = {k: s_threshold(n, k) for k in range(2, n)} if n >= 3 else {}
+    depth = {m: depth_threshold(n, m) for m in range(1, n // 2)} if n >= 5 else {}
+    return s, s.get(2), depth
 
 
 def min_entangled_block(n: int, k: int) -> int:
@@ -420,12 +444,9 @@ def factorization_residual(state: PureState, k: int, l: int) -> float:
     separating k and l; strictly positive certifies that k and l do not sit
     in separate product factors.
     """
-    if not 0 <= k < l < state.n:
-        raise ValueError(f"pair indices must satisfy 0 <= k < l < {state.n}, got ({k}, {l})")
-    block = pair_block(reduced_density_pair(state, k, l))
-    b_k = bloch_vector(reduced_density_single(state, k))
-    b_l = bloch_vector(reduced_density_single(state, l))
-    return float(np.max(np.abs(block - np.outer(b_k, b_l))))
+    _check_pair(state.n, k, l)
+    bloch, blocks = marginals(state)
+    return float(np.max(np.abs(blocks[k, l] - np.outer(bloch[k], bloch[l]))))
 
 
 # ---------------------------------------------------------------------------
@@ -501,26 +522,16 @@ def exclusion_report(state: PureState, policy: ZeroPolicy | None = None) -> Dete
             break
         not_product_min_k = k
 
-    s_thresholds = {k: s_threshold(n, k) for k in range(2, n)} if n >= 3 else {}
+    s_thresholds, gt, depth_thresholds = _threshold_families(n)
     for k, s in s_thresholds.items():
         # the closed-form threshold must agree with the enumerated verdicts
-        if (value > s + EPS_DET) != (k not in surviving_ks):
+        if _exceeds(value, s) != (k not in surviving_ks):
             raise RuntimeError(
                 f"threshold s_{k} = {s!r} disagrees with the partition enumeration "
                 f"for n={n}, value {value!r}"
             )
 
-    if n >= 3:
-        gt = genuine_threshold(n)
-        genuine = value > gt + EPS_DET
-    else:
-        gt = None
-        genuine = 2 not in surviving_ks
-
-    depth_thresholds = (
-        {m: depth_threshold(n, m) for m in range(1, n // 2)} if n >= 5 else {}
-    )
-    triggered = [m for m, t in depth_thresholds.items() if value > t + EPS_DET]
+    triggered = [m for m, t in depth_thresholds.items() if _exceeds(value, t)]
     depth_statement_m = max(triggered) if triggered else None
     depth_proof_parties = depth_statement_m + 1 if depth_statement_m is not None else None
 
@@ -534,7 +545,7 @@ def exclusion_report(state: PureState, policy: ZeroPolicy | None = None) -> Dete
         excluded_partitions=tuple(excluded),
         surviving_partitions=tuple(surviving),
         entangled_subset_guarantee=guarantee,
-        genuine_multipartite=genuine,
+        genuine_multipartite=2 not in surviving_ks,
         not_product_min_k=not_product_min_k,
         depth_statement_m=depth_statement_m,
         depth_proof_parties=depth_proof_parties,

@@ -11,6 +11,7 @@ The dense representation caps the qubit count at 20 by default; set the
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -216,10 +217,7 @@ def state_from_json_bytes(data: bytes) -> PureState:
     is read in blocks straight into one float64 array, without building a
     Python list per pair.
     """
-    parsed = _flat_from_entmon_layout(data)
-    if parsed is None:
-        parsed = _flat_from_json(data)
-    return _state_from_flat(*parsed)
+    return _state_from_json_file(io.BytesIO(data))
 
 
 def _state_from_json_file(fh: BinaryIO) -> PureState:
@@ -227,10 +225,11 @@ def _state_from_json_file(fh: BinaryIO) -> PureState:
 
     A seekable file in entmon's layout is read in blocks and never held
     whole. If the block reader declines, the file is read again, whole, for
-    the general path. Read failures propagate as OSError.
+    the general path. An unseekable file is read whole first. Read failures
+    propagate as OSError.
     """
     if not fh.seekable():
-        return state_from_json_bytes(fh.read())
+        fh = io.BytesIO(fh.read())
     size = fh.seek(0, os.SEEK_END)
     fh.seek(0)
     parsed = _flat_from_blocks(iter(partial(fh.read, _CHUNK_BYTES), b""), size)
@@ -290,12 +289,6 @@ _ENTMON_HEAD = re.compile(
 )
 # bytes read per block; one block holds about 1.5k pairs
 _CHUNK_BYTES = 1 << 16
-
-
-def _flat_from_entmon_layout(data: bytes) -> tuple[int, np.ndarray] | None:
-    """``_flat_from_blocks`` over consecutive slices of ``data``."""
-    blocks = (data[i:i + _CHUNK_BYTES] for i in range(0, len(data), _CHUNK_BYTES))
-    return _flat_from_blocks(blocks, len(data))
 
 
 def _flat_from_blocks(blocks: Iterator[bytes], size: int) -> tuple[int, np.ndarray] | None:

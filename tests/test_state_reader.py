@@ -38,6 +38,13 @@ def general(data: bytes):
     return sv.state_from_json_dict(json.loads(data.decode("utf-8")))
 
 
+def block_reader(data: bytes):
+    """The block reader over consecutive slices of ``data``: n and the
+    re/im values, or None where it declines the document."""
+    size = sv._CHUNK_BYTES
+    return sv._flat_from_blocks((data[i:i + size] for i in range(0, len(data), size)), len(data))
+
+
 def assert_paths_agree(data: bytes):
     assert outcome(sv.state_from_json_bytes, data) == outcome(general, data)
 
@@ -85,7 +92,7 @@ def entmon_layout(draw, values=state_values()):
 @settings(max_examples=150, deadline=None)
 @given(entmon_layout())
 def test_entmon_layout_takes_chunked_path_and_matches(data):
-    assert sv._flat_from_entmon_layout(data) is not None
+    assert block_reader(data) is not None
     assert_paths_agree(data)
 
 
@@ -105,7 +112,7 @@ def test_json_dumps_forms_match(values, form):
     else:
         text = json.dumps(obj)
     data = text.encode()
-    chunked = sv._flat_from_entmon_layout(data) is not None
+    chunked = block_reader(data) is not None
     assert chunked == (form in ("compact", "default", "indent"))
     assert_paths_agree(data)
 
@@ -115,7 +122,7 @@ def test_chunked_path_spans_many_chunks():
     state = sv.make_random_haar(12, 5)
     data = json.dumps(sv.state_to_json_dict(state)).encode()
     assert len(data) > 2 * sv._CHUNK_BYTES
-    assert sv._flat_from_entmon_layout(data) is not None
+    assert block_reader(data) is not None
     assert_paths_agree(data)
 
 
@@ -170,7 +177,7 @@ NEAR_MISSES = {
 @pytest.mark.parametrize("case", sorted(NEAR_MISSES))
 def test_near_miss_layouts_agree(case):
     data = NEAR_MISSES[case].encode()
-    assert sv._flat_from_entmon_layout(data) is None
+    assert block_reader(data) is None
     assert_paths_agree(data)
 
 
@@ -229,7 +236,7 @@ def test_unseekable_file_takes_the_bytes_path():
 
 def test_overflowing_number_on_chunked_path_is_not_finite():
     data = b'{"n": 1, "amplitudes": [[1e999, 0], [0, 0]]}'
-    assert sv._flat_from_entmon_layout(data) is not None
+    assert block_reader(data) is not None
     with pytest.raises(ValueError, match="finite"):
         sv.state_from_json_bytes(data)
 
@@ -237,7 +244,7 @@ def test_overflowing_number_on_chunked_path_is_not_finite():
 def test_renormalization_warning_on_chunked_path():
     values = [1 + 5e-8, 0.0, 0.0, 0.0]
     data = json.dumps({"n": 1, "amplitudes": [values[:2], values[2:]]}).encode()
-    assert sv._flat_from_entmon_layout(data) is not None
+    assert block_reader(data) is not None
     with pytest.warns(UserWarning, match="renormalizing"):
         state = sv.state_from_json_bytes(data)
     assert math.isclose(abs(state.amplitudes[0]), 1.0, abs_tol=1e-15)
@@ -252,5 +259,5 @@ def test_block_ends_at_every_offset_of_a_pair(monkeypatch, separators):
     doc = json.dumps(sv.state_to_json_dict(sv.make_random_haar(4, 9)), separators=separators)
     for shift in range(64):
         data = (" " * shift + doc).encode()
-        assert sv._flat_from_entmon_layout(data) is not None
+        assert block_reader(data) is not None
         assert_paths_agree(data)
