@@ -348,7 +348,7 @@ def cmd_stress(args) -> int:
             slack = "n/a" if math.isinf(s) else _fmt(s)
             print(f"  {name:<9} bound {bound:g}   min slack {slack}")
         print(f"  max pairwise value observed: {_fmt(summary.max_pair_value)}")
-        print(f"  violations beyond -1e-9: {summary.violations}")
+        print(f"  violations beyond {detector._margin_text()}: {summary.violations}")
     return 1 if summary.violations else 0
 
 

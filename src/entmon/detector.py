@@ -48,6 +48,12 @@ def _exceeds(value: float, bound: float) -> bool:
     return value > bound + EPS_DET
 
 
+def _margin_text() -> str:
+    """-EPS_DET as the stress report prints it: ``-1e-9``, without the
+    exponent's leading zero that ``format`` writes (``-1e-09``)."""
+    return format(-EPS_DET, "g").replace("e-0", "e-")
+
+
 # restarts for the maximize zero-policy search (z-axis start + this many
 # random starts drawn from the candidate axes)
 _MAXIMIZE_RESTARTS = 4

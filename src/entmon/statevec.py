@@ -329,6 +329,8 @@ def _flat_from_blocks(blocks: Iterator[bytes], size: int) -> tuple[int, np.ndarr
         if stop < 0 or pending[stop + 1:].translate(None, _JSON_WS) != b"}":
             return None
         filled = _fill_pairs(flat, filled, pending[:stop])
+    # orjson.JSONDecodeError, raised on a number that overflows to +-inf, is a
+    # ValueError: the general path then reports that number
     except (ValueError, OverflowError):
         return None
     if filled != flat.size:
@@ -356,7 +358,13 @@ def _last_separator(pending: bytes) -> int:
 def _fill_pairs(flat: np.ndarray, filled: int, segment: bytes) -> int:
     """Parse ``segment``, [re, im] pairs joined by commas, into ``flat`` from
     index ``filled``; return the new fill. Raises ValueError on anything else.
+
+    orjson gives every number the float bits ``json`` gives it, and refuses
+    one that overflows to +-inf. It is imported here, not with the module:
+    its import takes about 7 ms, and only a state file needs it.
     """
+    import orjson
+
     # Deleting every number and whitespace byte must leave [,],...,[,].
     # Brackets then become spaces (not deleted), so a stray number next to a
     # bracket cannot merge with its neighbour.
@@ -364,7 +372,7 @@ def _fill_pairs(flat: np.ndarray, filled: int, segment: bytes) -> int:
     pairs = (len(skeleton) + 1) // 4
     if skeleton != b"[,]," * (pairs - 1) + b"[,]":
         raise ValueError("not a run of [re, im] pairs")
-    values = json.loads(b"[" + segment.translate(_BRACKETS_TO_SPACES) + b"]")
+    values = orjson.loads(b"[" + segment.translate(_BRACKETS_TO_SPACES) + b"]")
     flat[filled:filled + len(values)] = np.fromiter(values, dtype=float, count=len(values))
     return filled + len(values)
 

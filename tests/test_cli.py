@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import errno
 import io
@@ -5,6 +6,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmon import (
     exclusion_report,
@@ -13,7 +16,7 @@ from entmon import (
     state_from_json_dict,
     state_to_json_dict,
 )
-from entmon import cli
+from entmon import cli, detector
 from entmon.cli import main, parse_zero_policy, render_json
 
 DATA = Path(__file__).parent / "data"
@@ -339,6 +342,15 @@ def test_stress_deterministic(capsys):
     assert first == second
 
 
+def test_stress_text_margin_follows_eps_det(capsys, monkeypatch):
+    args = ("stress", "--n", "3", "--trials", "5", "--format", "text")
+    _, out, _ = run_cli(capsys, *args)
+    assert "  violations beyond -1e-9: 0\n" in out
+    monkeypatch.setattr(detector, "EPS_DET", 2.5e-7)
+    _, out, _ = run_cli(capsys, *args)
+    assert "  violations beyond -2.5e-7: 0\n" in out
+
+
 def test_partitions_d73_value(capsys):
     code, out, _ = run_cli(
         capsys, "partitions", "--n", "7", "--m-value", str(96 / 7)
@@ -402,3 +414,84 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+FORMATS = st.sampled_from(["json", "csv", "text", "xml"])
+SMALL = st.integers(-1, 8).map(str)
+SEEDS = st.integers(-1, 3).map(str)
+# each subcommand's options and the values drawn for them, the options it
+# needs first; "--state" takes one of the files made by the fixture below
+GRAMMAR = {
+    "analyze": {
+        "--state": st.sampled_from(["missing", "dir", "valid", "truncated"]),
+        "--family": st.sampled_from(["dicke", "ghz", "w", "plus", "plus-product", "bell"]),
+        "--n": SMALL,
+        "--e": SMALL,
+        "--zero-policy": st.sampled_from(
+            ["canonical", "maximize:4", "maximize:0", "axis=0,0,1", "axis=0,0,0", "axis=1,2", "max"]
+        ),
+        "--format": FORMATS,
+        "--seed": SEEDS,
+    },
+    "sweep-dicke": {"--n-max": st.integers(-1, 6).map(str), "--format": FORMATS},
+    "stress": {
+        "--n": SMALL,
+        "--trials": st.integers(-1, 50).map(str),
+        "--seed": SEEDS,
+        "--format": FORMATS,
+    },
+    "partitions": {
+        "--n": SMALL,
+        "--m-value": st.sampled_from(["0", "3.5", "-1", "1e999", "nan", "-inf", "x"]),
+        "--format": FORMATS,
+    },
+}
+NEEDED = {
+    "analyze": st.sampled_from([["--state"], ["--family", "--n"], []]),
+    "sweep-dicke": st.just(["--n-max"]),
+    "stress": st.just(["--n", "--trials"]),  # the default of 1000 trials takes seconds
+    "partitions": st.just(["--n", "--m-value"]),
+}
+GARBAGE = st.sampled_from(["", "-", "--", "-h", "--bogus", "x", "-1", "1e999", "nan", "--n", "\x00", "\u00e9"])
+
+
+@pytest.fixture(scope="module")
+def fuzz_state_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    text = json.dumps(state_to_json_dict(make_ghz(3)))
+    (root / "valid.json").write_text(text)
+    (root / "truncated.json").write_text(text[: len(text) // 2])
+    (root / "dir").mkdir()
+    names = {"missing": "missing.json", "dir": "dir", "valid": "valid.json", "truncated": "truncated.json"}
+    return {key: str(root / name) for key, name in names.items()}
+
+
+@st.composite
+def argvs(draw, state_files):
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    options = GRAMMAR[command]
+    argv = [command]
+    flags = draw(NEEDED[command]) + draw(st.lists(st.sampled_from(sorted(options)), max_size=3))
+    for flag in flags:
+        value = draw(options[flag])
+        argv += [flag, state_files[value] if flag == "--state" else value]
+    # most argvs are well formed, so that the commands run
+    if draw(st.integers(0, 3)) == 0:
+        for token in draw(st.lists(GARBAGE, min_size=1, max_size=2)):
+            argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+# about 1.5 s on a 2-core Xeon
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cli_argv_fuzz_exits_cleanly(fuzz_state_files, data):
+    argv = data.draw(argvs(fuzz_state_files), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv, or -h
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -8,12 +8,15 @@ agreement would hold trivially.
 import json
 import math
 import os
+import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entmon import statevec as sv
@@ -47,10 +50,17 @@ def block_reader(data: bytes):
 
 def assert_paths_agree(data: bytes):
     assert outcome(sv.state_from_json_bytes, data) == outcome(general, data)
+    # where the block reader accepts, its values before normalization carry
+    # json's bits, so a state rejected for its norm hides no parse difference
+    parsed = block_reader(data)
+    if parsed is not None:
+        n, flat = sv._flat_from_dict(json.loads(data.decode("utf-8")))
+        assert parsed[0] == n and parsed[1].view(np.uint64).tolist() == flat.view(np.uint64).tolist()
 
 
 def number_forms(x: float) -> st.SearchStrategy[str]:
-    forms = [repr(x), format(x, ".17e"), format(x, ".17E"), format(x, ".16e")]
+    forms = [repr(x), format(x, ".17e"), format(x, ".17E"), format(x, ".16e"),
+             format(x, ".20e"), format(x, ".25g")]
     if x.is_integer():
         forms.append(str(int(x)))
     if x == 0.0:
@@ -127,17 +137,36 @@ def test_chunked_path_spans_many_chunks():
 
 
 MUTATION_BYTES = st.sampled_from(list(b"0123456789+-.eE[],:{}\" \t\n\rxaN"))
+NUMBER = re.compile(rb"-?[0-9][0-9.eE+-]*")
+# numbers that a parser rounding differently from json would read otherwise:
+# each must make the block reader decline or give json's bits
+EDGE_NUMBERS = [
+    "-0",
+    "-0.0",
+    "9007199254740993",  # 2**53 + 1, a tie between two doubles
+    "18446744073709551616",  # 2**64, beyond every 64-bit integer
+    "123456789012345678901234567890",
+    "2.4703282292062328e-324",  # rounds up to 5e-324
+    "2.4703282292062327e-324",  # rounds down to 0
+    "1.7976931348623158e308",  # rounds to the largest double
+    "1.7976931348623159e308",  # overflows to inf
+    "1e400",
+    "1" + "0" * 399,
+    # 60 digits just above 1 + 2**-53, the tie between 1 and the next double
+    "1.00000000000000011102230246251565404236316680908203125000001",
+]
 
 
 @settings(max_examples=400, deadline=None)
 @given(
     st.integers(1, 3),
     st.integers(0, 2**32 - 1),
-    st.sampled_from(["delete", "insert", "replace"]),
+    st.sampled_from(["delete", "insert", "replace", "number"]),
     st.integers(0, 10**6),
     MUTATION_BYTES,
+    st.sampled_from(EDGE_NUMBERS),
 )
-def test_mutated_amplitude_array_agrees(n, seed, op, where, byte):
+def test_mutated_amplitude_array_agrees(n, seed, op, where, byte, number):
     text = json.dumps(sv.state_to_json_dict(sv.make_random_haar(n, seed)))
     start, stop = text.index("["), text.rindex("]") + 1
     pos = start + where % (stop - start)
@@ -146,9 +175,20 @@ def test_mutated_amplitude_array_agrees(n, seed, op, where, byte):
         del data[pos]
     elif op == "insert":
         data.insert(pos, byte)
-    else:
+    elif op == "replace":
         data[pos] = byte
+    else:
+        numbers = list(NUMBER.finditer(data, start, stop))
+        hit = numbers[where % len(numbers)]
+        data[hit.start():hit.end()] = number.encode()
     assert_paths_agree(bytes(data))
+
+
+# every edge number, not only those Hypothesis happens to draw
+for _number in EDGE_NUMBERS:
+    test_mutated_amplitude_array_agrees = example(1, 0, "number", 0, ord("0"), _number)(
+        test_mutated_amplitude_array_agrees
+    )
 
 
 # documents close to the entmon layout that the chunked reader must decline
@@ -235,10 +275,34 @@ def test_unseekable_file_takes_the_bytes_path():
 
 
 def test_overflowing_number_on_chunked_path_is_not_finite():
+    # orjson refuses a number that overflows, so the block reader declines
+    # and the general path gives the message
     data = b'{"n": 1, "amplitudes": [[1e999, 0], [0, 0]]}'
-    assert block_reader(data) is not None
+    assert block_reader(data) is None
     with pytest.raises(ValueError, match="finite"):
         sv.state_from_json_bytes(data)
+
+
+def test_orjson_is_imported_only_to_read_a_state_file(tmp_path):
+    # the benchmark's set-up probe loads no state, so it must not pay for
+    # orjson's import; the block reader must still use it
+    path = tmp_path / "w3.json"
+    path.write_text(json.dumps(sv.state_to_json_dict(sv.make_dicke(3, 1))))
+    probe = (
+        "import sys\n"
+        "import entmon, entmon.cli\n"
+        "entmon.cli.build_parser()\n"
+        "print('orjson' in sys.modules)\n"
+        "entmon.cli._load_state_file(sys.argv[1])\n"
+        "print('orjson' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(sv.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(path)],
+        check=True, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.stdout.split() == ["False", "True"]
 
 
 def test_renormalization_warning_on_chunked_path():
