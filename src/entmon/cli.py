@@ -18,7 +18,7 @@ import numpy as np
 from . import detector, families
 from .detector import DetectionReport, _exceeds, exclusion_report
 from .frames import ZeroPolicy
-from .statevec import PureState, _state_from_json_file
+from .statevec import PureState, _state_from_json_file, max_qubits
 
 
 class InputError(Exception):
@@ -118,6 +118,11 @@ def parse_zero_policy(text: str, seed: int) -> ZeroPolicy:
 
 
 def _load_state_file(path: str) -> PureState:
+    # a malformed ENTMON_MAX_QUBITS is reported as itself, not as a fault of the file
+    try:
+        max_qubits()
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     # the file is read inside the parse, so a read failure surfaces there too
     try:
         with open(path, "rb") as fh:
@@ -267,9 +272,11 @@ def cmd_sweep_dicke(args) -> int:
     for n in range(2, args.n_max + 1):
         in_domain = families.dicke_formula_stated_domain(n)
         for e in range(n + 1):
-            report = exclusion_report(
-                families.state_for(families.FamilySpec("dicke", n, e)), ZeroPolicy.canonical()
-            )
+            try:
+                state = families.state_for(families.FamilySpec("dicke", n, e))
+            except ValueError as exc:  # a bad ENTMON_MAX_QUBITS, or n beyond it
+                raise InputError(str(exc)) from None
+            report = exclusion_report(state, ZeroPolicy.canonical())
             formula = families.dicke_m_pb(n, e)
             claimed = (
                 families.dicke_claimed_depth(n) if in_domain and n >= 3 and e == (n - 1) // 2 else None

@@ -1,8 +1,9 @@
 """Reduced density matrices, Bloch vectors, and two-qubit correlation blocks.
 
 ``marginals`` is the production path: it returns every Bloch vector and every
-3x3 pair block of a state from a handful of passes over the amplitude vector,
-without copying the state per pair (see its docstring for the scheme). The
+3x3 pair block of a state, from a few products of small tables up to 10
+qubits and from a handful of passes over the amplitude vector beyond, never
+copying the state per pair (see its docstring for both kernels). The
 per-qubit and per-pair reductions (``reduced_density_single``,
 ``reduced_density_pair``, ``bloch_vector``, ``pair_block``) stay public as the
 readable API for a single marginal and as the reference the kernel is tested
@@ -129,6 +130,11 @@ def _sign_moments(p: np.ndarray, m: int) -> np.ndarray:
     return G
 
 
+# marginals takes its moments from the flip tables up to this many qubits and
+# from strided passes beyond: the measured crossover (see marginals)
+_FLIP_MAX_QUBITS = 10
+
+
 def marginals(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     """Every Bloch vector and every pair block of a state, in one call.
 
@@ -141,19 +147,75 @@ def marginals(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     With s_l = 1 - 2 x_l, p = |psi|^2 and c_k = psi[x_k=0] conj(psi[x_k=1]),
     every entry with a z index is a signed sum: z_k = sum p s_k, zz_kl =
     sum p s_k s_l, x_k - i y_k = 2 sum c_k and xz_kl - i yz_kl =
-    2 sum c_k s_l. Each comes from the row and column sums of a vector over
-    m bits reshaped to 2**h x 2**(m-h), times small cached sign tables, so
-    these entries cost O(n) passes over the state. Only the four in-plane
-    entries need a pass per pair: the sums
+    2 sum c_k s_l. The four in-plane entries come from
     A = sum psi(..0..0..) conj psi(..1..1..) and
-    B = sum psi(..0..1..) conj psi(..1..0..), over strided views of the
-    state. For each k, the sums of c_k and the A and B of every l > k read
-    psi[x_k=0] and one buffer holding conj(psi[x_k=1]); c_k is never stored,
-    so the transient memory is that buffer, half a state, plus vectors of
-    length O(2**(n/2)).
+    B = sum psi(..0..1..) conj psi(..1..0..), with qubits k < l marked.
+    Two kernels compute these moments and one assembly turns them into
+    blocks. Up to ``_FLIP_MAX_QUBITS`` = 10 qubits, ``_flip_moments`` reads
+    all of them from a few (n, 2**n) arrays in about ten NumPy calls, which
+    is what a small state costs; beyond, ``_strided_moments`` needs only
+    half a state of workspace. The threshold is the measured crossover. Per
+    call, on a 2-core Xeon with NumPy 2.4 and OpenBLAS, the tables are
+    3.1-7.1x faster at n = 4-9, 0.94-1.43x (median 1.24x) at n = 10,
+    0.76-1.05x (median 0.79x) at n = 11 and 0.51-0.56x at n = 12. The
+    kernels sum in different orders, so their results agree to about 1e-15,
+    not bit for bit.
     """
     n = state.n
-    psi = state.amplitudes
+    moments = _flip_moments if n <= _FLIP_MAX_QUBITS else _strided_moments
+    return _assemble(*moments(state.amplitudes, n))
+
+
+@lru_cache(maxsize=None)
+def _flip_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tables of n qubits: flip[k, z] is z with qubit k's bit flipped and
+    on[k, z] is 1.0 where that bit of z is 1, else 0.0 (both (n, 2**n));
+    upper[k, l] is 1.0 for k < l, else 0.0."""
+    z = np.arange(1 << n)
+    bit = 1 << np.arange(n - 1, -1, -1)[:, None]
+    tables = (z ^ bit, ((z & bit) != 0).astype(np.float64), np.triu(np.ones((n, n)), 1))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _flip_moments(psi: np.ndarray, n: int):
+    """The moments of ``marginals`` from the flipped copies of the state.
+
+    With F[k, z] = psi(z ^ e_k), the mask on[k, z] = [z_k = 1], off = 1 - on
+    and the sign table T (column 0 ones, column 1 + l the sign of qubit l):
+    G = T^T (|psi|^2 T); c = (on F)(conj psi T), whose column 1 + k in row k
+    is -sum c_k and is never read; A = (on F)(off conj F)^T and
+    B = (on F)(on conj F)^T, kept for k < l. Substituting w = z ^ e_k turns
+    each entry of the last three into the sum the strided kernel takes over
+    psi[x_k=0].
+    """
+    T = _sign_table(n)
+    flip, on, upper = _flip_tables(n)
+    off_F = psi[flip]
+    on_F = on * off_F
+    off_F -= on_F  # exact: on_F is either F or zero
+    U = np.abs(psi)[:, None] * T
+    G = U.T @ U  # one operand twice: a symmetric product, so G is exactly symmetric
+    c = on_F @ (np.conjugate(psi)[:, None] * T)
+    # conj(on F) = on conj F, so A = conj(conj(on F) (off F)^T)
+    on_F_c = np.conjugate(on_F)
+    A = np.conjugate(on_F_c @ off_F.T) * upper
+    B = (on_F @ on_F_c.T) * upper
+    return G, c, A, B
+
+
+def _strided_moments(psi: np.ndarray, n: int):
+    """The moments of ``marginals`` from strided passes over the state.
+
+    Every z moment comes from the row and column sums of a vector over m bits
+    reshaped to 2**h x 2**(m-h), times small cached sign tables, so these
+    cost O(n) passes over the state. Only A and B need a pass per pair, over
+    strided views. For each k, the sums of c_k and the A and B of every
+    l > k read psi[x_k=0] and one buffer holding conj(psi[x_k=1]); c_k is
+    never stored, so the transient memory is that buffer, half a state,
+    plus vectors of length O(2**(n/2)).
+    """
     # the only state-sized transient is half a state: it holds p = |psi|^2,
     # then, for each qubit k in turn, conj(psi[x_k=1]); one allocation per
     # call leaves no freed 2**n-sized blocks scattered through the heap
@@ -169,7 +231,7 @@ def marginals(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     hi = _sign_table(h, np.complex128)
     lo = _sign_table(m - h, np.complex128)[:, 1:]
     c_sums = np.empty((n, n), dtype=np.complex128)
-    # A[k, l] and B[k, l] for k < l; swapping k and l keeps A, conjugates B
+    # A[k, l] and B[k, l] for k < l
     A = np.zeros((n, n), dtype=np.complex128)
     B = np.zeros((n, n), dtype=np.complex128)
     for k in range(n):
@@ -192,19 +254,33 @@ def marginals(state: PureState) -> tuple[np.ndarray, np.ndarray]:
             a_l, b_l = a.reshape(shape), b.reshape(shape)
             A[k, l] = np.einsum("iab,iab->", a_l[:, :, 0], b_l[:, :, 1])
             B[k, l] = np.einsum("iab,iab->", a_l[:, :, 1], b_l[:, :, 0])
-    A += A.T
-    B += B.conj().T
+
+    # into the sign table's layout: column 1 + l for qubit l, row k's own
+    # column left zero; row k of c_sums lists the qubits l != k in order,
+    # which is the row-major order of the off-diagonal
+    c = np.zeros((n, n + 1), dtype=np.complex128)
+    c[:, 0] = c_sums[:, 0]
+    c[:, 1:][~np.eye(n, dtype=bool)] = c_sums[:, 1:].ravel()
+    return G, c, A, B
+
+
+def _assemble(G: np.ndarray, c: np.ndarray, A: np.ndarray, B: np.ndarray):
+    """``marginals``' output from either kernel's moments: G[a, b] =
+    sum p s_a s_b over the sign table's columns (0 = ones, 1 + l = qubit l),
+    c[k, 0] = sum c_k and c[k, 1 + l] = sum c_k s_l for l != k, and A and B
+    for k < l only (zero elsewhere)."""
+    n = len(c)
+    # swapping k and l keeps A and conjugates B; mirroring the k < l half
+    # makes the blocks exactly symmetric
+    A = A + A.T
+    B = B + B.conj().T
 
     bloch = np.empty((n, 3))
-    bloch[:, 0] = 2.0 * c_sums[:, 0].real
-    bloch[:, 1] = -2.0 * c_sums[:, 0].imag
+    bloch[:, 0] = 2.0 * c[:, 0].real
+    bloch[:, 1] = -2.0 * c[:, 0].imag
     bloch[:, 2] = G[0, 1:]
 
-    off = ~np.eye(n, dtype=bool)
-    # xz - i yz; row k of c_sums lists the qubits l != k in order, which is
-    # the row-major order of the off-diagonal
-    xz = np.zeros((n, n), dtype=np.complex128)
-    xz[off] = 2.0 * c_sums[:, 1:].ravel()
+    xz = 2.0 * c[:, 1:]  # xz - i yz
     xx = 2.0 * (A + B)  # xx - i yx
     yy = 2.0 * (B - A)  # yy + i xy
     blocks = np.empty((n, n, 3, 3))
@@ -216,7 +292,7 @@ def marginals(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     blocks[..., 1, 2] = -xz.imag
     blocks[..., 2, :2] = blocks[..., :2, 2].transpose(1, 0, 2)
     blocks[..., 2, 2] = G[1:, 1:]
-    blocks[~off] = 0.0
+    blocks[np.arange(n), np.arange(n)] = 0.0
     bloch.setflags(write=False)
     blocks.setflags(write=False)
     return bloch, blocks

@@ -250,6 +250,31 @@ def test_analyze_qubit_cap_env(capsys, monkeypatch, tmp_path):
     assert code == 0
 
 
+# the message each ENTMON_MAX_QUBITS value must exit 2 with; a cap of 3 is
+# valid, and fails only a command that needs 4 qubits
+CAP_ERRORS = {
+    "abc": "ENTMON_MAX_QUBITS must be an integer, got 'abc'",
+    "0": "ENTMON_MAX_QUBITS must be >= 1, got 0",
+    "3": "qubit count 4 exceeds the cap of 3 (set ENTMON_MAX_QUBITS to raise it)",
+}
+
+
+@pytest.mark.parametrize("cap", ["abc", "0", "3"])
+def test_sweep_dicke_qubit_cap_is_an_input_error(capsys, monkeypatch, cap):
+    monkeypatch.setenv("ENTMON_MAX_QUBITS", cap)
+    code, out, err = run_cli(capsys, "sweep-dicke", "--n-max", "5")
+    assert (code, out, err) == (2, "", f"error: {CAP_ERRORS[cap]}\n")
+
+
+@pytest.mark.parametrize("cap", ["abc", "0"])
+def test_analyze_state_reports_a_bad_qubit_cap_as_itself(capsys, monkeypatch, tmp_path, cap):
+    path = tmp_path / "ghz3.json"
+    path.write_text(json.dumps(state_to_json_dict(make_ghz(3))))
+    monkeypatch.setenv("ENTMON_MAX_QUBITS", cap)
+    code, out, err = run_cli(capsys, "analyze", "--state", str(path))
+    assert (code, out, err) == (2, "", f"error: {CAP_ERRORS[cap]}\n")
+
+
 def test_analyze_json_deterministic(capsys):
     args = ("analyze", "--family", "ghz", "--n", "3", "--zero-policy", "maximize:32",
             "--seed", "7")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import entmon.detector as detector
+import entmon.tensor as tensor
 from entmon import (
     apply_local_unitary,
     bloch_vector,
@@ -103,7 +104,7 @@ def test_kernel_matches_oracle_at_ten_qubits():
             assert abs(blocks[k, l, i, j] - oracle_entry(state, {k: i, l: j})) < 1e-10
 
 
-@pytest.mark.parametrize("n", [1, 2, 4, 6, 8, 10])
+@pytest.mark.parametrize("n", range(1, 11))
 def test_kernel_matches_reductions_on_fixtures(n):
     names = fixtures(n) if n >= 2 else {"haar": make_random_haar(1, 3)}
     for name, state in names.items():
@@ -123,12 +124,28 @@ def test_kernel_matches_reductions_at_larger_n(n):
         assert np.max(np.abs(blocks - ref_blocks)) < 1e-12
 
 
-def test_kernel_outputs_are_read_only_real_and_symmetric():
-    bloch, blocks = marginals(make_random_haar(5, 2))
+@pytest.mark.parametrize("n", range(1, 13))
+def test_flip_and_strided_kernels_agree(n):
+    # marginals takes the flip tables up to _FLIP_MAX_QUBITS and the strided
+    # passes beyond; each kernel sums in its own order
+    names = fixtures(n) if n >= 2 else {"haar": make_random_haar(1, 3)}
+    for name, state in names.items():
+        flip = tensor._assemble(*tensor._flip_moments(state.amplitudes, n))
+        strided = tensor._assemble(*tensor._strided_moments(state.amplitudes, n))
+        for a, b in zip(flip, strided):
+            assert np.max(np.abs(a - b)) < 1e-13, name
+        chosen = flip if n <= tensor._FLIP_MAX_QUBITS else strided
+        for a, b in zip(marginals(state), chosen):
+            assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("n", [5, 11])  # one kernel each side of the threshold
+def test_kernel_outputs_are_read_only_real_and_symmetric(n):
+    bloch, blocks = marginals(make_random_haar(n, 2))
     assert bloch.dtype == np.float64 and blocks.dtype == np.float64
     assert not bloch.flags.writeable and not blocks.flags.writeable
     assert np.array_equal(blocks, blocks.transpose(1, 0, 3, 2))
-    assert not np.any(blocks[np.arange(5), np.arange(5)])
+    assert not np.any(blocks[np.arange(n), np.arange(n)])
     with pytest.raises(ValueError):
         blocks[0, 1, 0, 0] = 1.0
 
