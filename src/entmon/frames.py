@@ -27,6 +27,10 @@ _Z = np.array([0.0, 0.0, 1.0])
 CANONICAL = "canonical"
 FIXED_AXIS = "axis"
 MAXIMIZE = "maximize"
+# the most random axes the maximize search draws per qubit: it keeps one 3x3
+# projector per candidate and tries each in turn, so a larger count costs
+# time and memory without bound
+MAX_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -36,8 +40,9 @@ class ZeroPolicy:
     canonical: keep the computational z axis.
     axis:      use the given unit vector as the z axis.
     maximize:  search over axes for the largest detection value (resolved by
-               the detector; ``samples`` random axes per qubit plus the six
-               signed coordinate axes, seeded for reproducibility).
+               the detector; ``samples`` random axes per qubit, at most
+               ``MAX_SAMPLES``, plus the six signed coordinate axes, seeded
+               for reproducibility).
     """
 
     mode: str = CANONICAL
@@ -53,8 +58,10 @@ class ZeroPolicy:
                 raise ValueError("axis mode requires an axis vector")
             _unit_axes([self.axis], 1)
         if self.mode == MAXIMIZE:
-            if self.samples < 1:
-                raise ValueError(f"sample count must be >= 1, got {self.samples}")
+            if not 1 <= self.samples <= MAX_SAMPLES:
+                raise ValueError(
+                    f"sample count must be in 1..{MAX_SAMPLES}, got {self.samples}"
+                )
             if self.seed < 0:
                 raise ValueError(f"seed must be >= 0, got {self.seed}")
 

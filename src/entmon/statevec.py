@@ -64,6 +64,24 @@ def _check_qubit_count(n: int) -> None:
         )
 
 
+def _check_new_state(n: int) -> None:
+    """The qubit-count checks of a constructor that allocates 2**n amplitudes:
+    the cap, and 16 * 2**n bytes against the machine's physical memory, so
+    that an impossible state is refused before anything is allocated or
+    enumerated."""
+    _check_qubit_count(n)
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: let the allocation decide
+        return
+    need = 16 << n
+    if need > memory:
+        raise ValueError(
+            f"a {n}-qubit state needs {need / 2**30:.4g} GiB of amplitudes, "
+            f"more than the {memory / 2**30:.4g} GiB of physical memory"
+        )
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized pure state of ``n`` qubits as a dense complex amplitude vector.
@@ -119,7 +137,7 @@ def _normalized(n: int, amps: np.ndarray) -> PureState:
 
 def make_basis_state(n: int, bits: str) -> PureState:
     """Computational basis state for a bit string; bits[0] is qubit 0 (MSB)."""
-    _check_qubit_count(n)
+    _check_new_state(n)
     if len(bits) != n:
         raise ValueError(f"bit string {bits!r} has length {len(bits)}, expected {n}")
     if any(c not in "01" for c in bits):
@@ -132,7 +150,7 @@ def make_basis_state(n: int, bits: str) -> PureState:
 def make_dicke(n: int, e: int) -> PureState:
     """Symmetric state with equal amplitude on every basis index of Hamming
     weight ``e`` (bit value 1 = excitation)."""
-    _check_qubit_count(n)
+    _check_new_state(n)
     if not 0 <= e <= n:
         raise ValueError(f"excitation count must satisfy 0 <= e <= {n}, got {e}")
     idx = [i for i in range(2**n) if i.bit_count() == e]
@@ -145,7 +163,7 @@ def make_ghz(n: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2)."""
     if n < 2:
         raise ValueError(f"GHZ state needs at least 2 qubits, got {n}")
-    _check_qubit_count(n)
+    _check_new_state(n)
     amps = np.zeros(2**n, dtype=np.complex128)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
     return PureState(n, amps)
@@ -153,7 +171,7 @@ def make_ghz(n: int) -> PureState:
 
 def make_plus_product(n: int) -> PureState:
     """Product of |+> on every qubit: uniform amplitude 2**(-n/2)."""
-    _check_qubit_count(n)
+    _check_new_state(n)
     amps = np.full(2**n, 2.0 ** (-n / 2.0), dtype=np.complex128)
     return PureState(n, amps)
 
@@ -164,7 +182,7 @@ def make_random_haar(n: int, seed: int) -> PureState:
     Draws 2**n complex entries with independent standard-normal real and
     imaginary parts and normalizes; deterministic for a given seed.
     """
-    _check_qubit_count(n)
+    _check_new_state(n)
     rng = np.random.default_rng(seed)
     dim = 2**n
     # the draws go straight into one complex array, real part first as in

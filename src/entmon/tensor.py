@@ -2,8 +2,9 @@
 
 ``marginals`` is the production path: it returns every Bloch vector and every
 3x3 pair block of a state, from a few products of small tables up to 10
-qubits and from a handful of passes over the amplitude vector beyond, never
-copying the state per pair (see its docstring for both kernels). The
+qubits and from a handful of passes over the amplitude vector beyond. It
+never copies the state: its workspace stays near 1 MiB at any size (see
+its docstring for both kernels). The
 per-qubit and per-pair reductions (``reduced_density_single``,
 ``reduced_density_pair``, ``bloch_vector``, ``pair_block``) stay public as the
 readable API for a single marginal and as the reference the kernel is tested
@@ -114,25 +115,48 @@ def _sign_table(m: int, dtype=np.float64) -> np.ndarray:
     return table
 
 
-def _sign_moments(p: np.ndarray, m: int) -> np.ndarray:
-    """G[a, b] = sum_x p(x) s_a(x) s_b(x) over m bits, with s_0 = 1 and
-    s_{1+j} the sign of bit j: row 0 holds the total and the first
-    moments, G[1:, 1:] the second moments."""
-    h = m // 2
-    P = p.reshape(1 << h, 1 << (m - h))
+def _sign_moments(psi: np.ndarray, n: int, work: np.ndarray) -> np.ndarray:
+    """G[a, b] = sum_x p(x) s_a(x) s_b(x) over n bits, with p = |psi|^2,
+    s_0 = 1 and s_{1+j} the sign of bit j: row 0 holds the total and the
+    first moments, G[1:, 1:] the second moments.
+
+    p is split as P = 2**h x 2**(n-h) and taken in blocks of whole rows
+    that fill the float64 view of ``work``; the row sums, column sums and
+    (hi^T P) lo of the blocks add up to those of P, and a single block
+    gives the bits of one pass."""
+    h = n // 2
+    W = 1 << (n - h)
     hi = _sign_table(h)
-    lo = _sign_table(m - h)[:, 1:]
-    G = np.empty((m + 1, m + 1))
-    G[: h + 1, : h + 1] = hi.T @ (P.sum(axis=1)[:, None] * hi)
-    G[h + 1 :, h + 1 :] = lo.T @ (P.sum(axis=0)[:, None] * lo)
-    G[: h + 1, h + 1 :] = (hi.T @ P) @ lo
-    G[h + 1 :, : h + 1] = G[: h + 1, h + 1 :].T
+    lo = _sign_table(n - h)[:, 1:]
+    buf = work.view(np.float64)  # a power of two of at least W floats
+    block = len(buf)
+    rows = np.empty(1 << h)
+    for start in range(0, 1 << n, block):
+        P = np.abs(psi[start : start + block], out=buf[:block]).reshape(-1, W)
+        np.square(P, out=P)
+        r = start // W
+        rows[r : r + len(P)] = P.sum(axis=1)
+        cols_part = P.sum(axis=0)
+        cross_part = (hi[r : r + len(P)].T @ P) @ lo
+        if start == 0:
+            cols, cross = cols_part, cross_part
+        else:
+            cols += cols_part
+            cross += cross_part
+    G = np.empty((n + 1, n + 1))
+    G[: h + 1, : h + 1] = hi.T @ (rows[:, None] * hi)
+    G[h + 1 :, h + 1 :] = lo.T @ (cols[:, None] * lo)
+    G[: h + 1, h + 1 :] = cross
+    G[h + 1 :, : h + 1] = cross.T
     return G
 
 
 # marginals takes its moments from the flip tables up to this many qubits and
 # from strided passes beyond: the measured crossover (see marginals)
 _FLIP_MAX_QUBITS = 10
+# the strided kernel reads conj(psi[x_k=1]) in chunks of this many amplitudes
+# (1 MiB), its only buffer; a half-state of up to 17 qubits is one chunk
+_CHUNK = 1 << 16
 
 
 def marginals(state: PureState) -> tuple[np.ndarray, np.ndarray]:
@@ -153,13 +177,16 @@ def marginals(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     Two kernels compute these moments and one assembly turns them into
     blocks. Up to ``_FLIP_MAX_QUBITS`` = 10 qubits, ``_flip_moments`` reads
     all of them from a few (n, 2**n) arrays in about ten NumPy calls, which
-    is what a small state costs; beyond, ``_strided_moments`` needs only
-    half a state of workspace. The threshold is the measured crossover. Per
-    call, on a 2-core Xeon with NumPy 2.4 and OpenBLAS, the tables are
-    3.1-7.1x faster at n = 4-9, 0.94-1.43x (median 1.24x) at n = 10,
-    0.76-1.05x (median 0.79x) at n = 11 and 0.51-0.56x at n = 12. The
-    kernels sum in different orders, so their results agree to about 1e-15,
-    not bit for bit.
+    is what a small state costs; beyond, ``_strided_moments`` reads the
+    state through one buffer of at most ``_CHUNK`` = 2**16 amplitudes
+    (1 MiB), so a call holds no state-sized array of its own. The threshold
+    is the measured crossover. Per call, on a 2-core Xeon with NumPy 2.4
+    and OpenBLAS, the tables are 3.1-7.1x faster at n = 4-9, 0.94-1.43x
+    (median 1.24x) at n = 10, 0.76-1.05x (median 0.79x) at n = 11 and
+    0.51-0.56x at n = 12. The kernels sum in different orders, so their
+    results agree to about 1e-15, not bit for bit. Up to 17 qubits the
+    buffer holds a whole half-state; beyond, the strided sums are added up
+    chunk by chunk, which moves only their last digits.
     """
     n = state.n
     moments = _flip_moments if n <= _FLIP_MAX_QUBITS else _strided_moments
@@ -211,25 +238,29 @@ def _strided_moments(psi: np.ndarray, n: int):
     Every z moment comes from the row and column sums of a vector over m bits
     reshaped to 2**h x 2**(m-h), times small cached sign tables, so these
     cost O(n) passes over the state. Only A and B need a pass per pair, over
-    strided views. For each k, the sums of c_k and the A and B of every
-    l > k read psi[x_k=0] and one buffer holding conj(psi[x_k=1]); c_k is
-    never stored, so the transient memory is that buffer, half a state,
-    plus vectors of length O(2**(n/2)).
+    strided views. For each k, conj(psi[x_k=1]) is taken one chunk of at
+    most ``_CHUNK`` amplitudes at a time into one buffer, and the sums of
+    c_k and the A and B of every l > k are read from that chunk and
+    psi[x_k=0]; c_k is never stored. The transient memory is that buffer,
+    1 MiB, plus vectors of length O(2**(n/2)), whatever the size of the
+    state. Up to 17 qubits a chunk is the whole half-state, and the sums
+    are taken in one piece.
     """
-    # the only state-sized transient is half a state: it holds p = |psi|^2,
-    # then, for each qubit k in turn, conj(psi[x_k=1]); one allocation per
-    # call leaves no freed 2**n-sized blocks scattered through the heap
-    work = np.empty(1 << (n - 1), dtype=np.complex128)
-    p = np.abs(psi, out=work.view(np.float64))
-    G = _sign_moments(np.square(p, out=p), n)
-
-    # row k: sum c_k, then sum c_k s_l for the other qubits l in order, from
-    # the row and column sums of c_k split as 2**h x W (never stored)
     m = n - 1
     h = m // 2
     W = 1 << (m - h)
+    # a chunk holds whole rows of the 2**h x W split of a half-state
+    chunk = min(1 << m, max(_CHUNK, W))
+    # the only buffer: p = |psi|^2 in row blocks, then the chunks of
+    # conj(psi[x_k=1]); one allocation per call
+    work = np.empty(chunk, dtype=np.complex128)
+    G = _sign_moments(psi, n, work)
+
+    # row k: sum c_k, then sum c_k s_l for the other qubits l in order, from
+    # the row and column sums of c_k split as 2**h x W (never stored)
     hi = _sign_table(h, np.complex128)
     lo = _sign_table(m - h, np.complex128)[:, 1:]
+    rows = np.empty(1 << h, dtype=np.complex128)
     c_sums = np.empty((n, n), dtype=np.complex128)
     # A[k, l] and B[k, l] for k < l
     A = np.zeros((n, n), dtype=np.complex128)
@@ -237,23 +268,46 @@ def _strided_moments(psi: np.ndarray, n: int):
     for k in range(n):
         L = 1 << (m - k)
         halves = psi.reshape(1 << k, 2, L)
-        a = halves[:, 0]
-        b = np.conjugate(halves[:, 1], out=work.reshape(1 << k, L))
-        if L >= W:
-            a3, b3 = a.reshape(1 << k, L // W, W), b.reshape(1 << k, L // W, W)
-            rows = np.einsum("iuw,iuw->iu", a3, b3).ravel()
-            cols = np.einsum("iuw,iuw->w", a3, b3)
-        else:
-            a3, b3 = a.reshape(1 << h, W // L, L), b.reshape(1 << h, W // L, L)
-            rows = np.einsum("ivl,ivl->i", a3, b3)
-            cols = np.einsum("ivl,ivl->vl", a3, b3).ravel()
+        # a chunk is R rows i of S amplitudes j of psi[x_k=1] (index i*L + j)
+        R, S = max(1, chunk // L), min(L, chunk)
+        for start in range(0, 1 << m, chunk):
+            i, j = divmod(start, L)
+            a = halves[i : i + R, 0, j : j + S]
+            b = np.conjugate(halves[i : i + R, 1, j : j + S], out=work.reshape(R, S))
+            r = start // W
+            if S >= W:
+                a3, b3 = a.reshape(R, S // W, W), b.reshape(R, S // W, W)
+                rows[r : r + chunk // W] = np.einsum("iuw,iuw->iu", a3, b3).ravel()
+                cols_part = np.einsum("iuw,iuw->w", a3, b3)
+            else:
+                a3, b3 = a.reshape(chunk // W, W // S, S), b.reshape(chunk // W, W // S, S)
+                rows[r : r + chunk // W] = np.einsum("ivl,ivl->i", a3, b3)
+                cols_part = np.einsum("ivl,ivl->vl", a3, b3).ravel()
+            AB_part = np.zeros((2, n), dtype=np.complex128)
+            for l in range(k + 1, n):
+                d = 1 << (m - l)  # qubit l's bit in j
+                if 2 * d <= S:
+                    shape = (R, S // (2 * d), 2, d)
+                    a_l, b_l = a.reshape(shape), b.reshape(shape)
+                    AB_part[0, l] = np.einsum("iab,iab->", a_l[:, :, 0], b_l[:, :, 1])
+                    AB_part[1, l] = np.einsum("iab,iab->", a_l[:, :, 1], b_l[:, :, 0])
+                else:
+                    # the bit lies above the chunk (R = 1), so the chunk sits
+                    # in one half of it: x_l = 1 pairs with psi[x_k=0] at
+                    # j - d for A, x_l = 0 with psi[x_k=0] at j + d for B
+                    flip = j ^ d
+                    partner = halves[i : i + 1, 0, flip : flip + S]
+                    AB_part[int(flip > j), l] = np.einsum("ij,ij->", partner, b)
+            # the first chunk's sums are taken as they are, so that a single
+            # chunk gives the bits of one pass over the half-state
+            if start == 0:
+                cols, AB = cols_part, AB_part
+            else:
+                cols += cols_part
+                AB += AB_part
         np.dot(rows, hi, out=c_sums[k, : h + 1])
         np.dot(cols, lo, out=c_sums[k, h + 1 :])
-        for l in range(k + 1, n):
-            shape = (1 << k, 1 << (l - k - 1), 2, -1)
-            a_l, b_l = a.reshape(shape), b.reshape(shape)
-            A[k, l] = np.einsum("iab,iab->", a_l[:, :, 0], b_l[:, :, 1])
-            B[k, l] = np.einsum("iab,iab->", a_l[:, :, 1], b_l[:, :, 0])
+        A[k], B[k] = AB
 
     # into the sign table's layout: column 1 + l for qubit l, row k's own
     # column left zero; row k of c_sums lists the qubits l != k in order,

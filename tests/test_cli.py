@@ -3,10 +3,12 @@ import csv
 import errno
 import io
 import json
+import signal
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entmon import (
@@ -17,7 +19,8 @@ from entmon import (
     state_to_json_dict,
 )
 from entmon import cli, detector
-from entmon.cli import main, parse_zero_policy, render_json
+from entmon.cli import InputError, main, parse_zero_policy, render_json
+from entmon.frames import MAX_SAMPLES
 
 DATA = Path(__file__).parent / "data"
 
@@ -225,6 +228,60 @@ def test_analyze_family_validation_exits_2(capsys):
 def test_analyze_bad_zero_policy_exits_2(capsys, policy_args):
     code, out, err = run_cli(capsys, "analyze", "--family", "ghz", "--n", "3", *policy_args)
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_analyze_oversized_maximize_sample_count_exits_2(capsys):
+    # NumPy refused the (samples, 3) draw of the search with a traceback
+    args = ("analyze", "--family", "ghz", "--n", "3", "--zero-policy")
+    code, out, err = run_cli(capsys, *args, "maximize:99999999999")
+    assert code == 2 and out == ""
+    assert err == f"error: sample count must be in 1..{MAX_SAMPLES}, got 99999999999\n"
+    assert parse_zero_policy(f"maximize:{MAX_SAMPLES}", 0).samples == MAX_SAMPLES
+    with pytest.raises(InputError, match="sample count"):
+        parse_zero_policy(f"maximize:{MAX_SAMPLES + 1}", 0)
+
+
+class Expired(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise Expired in the main thread after ``seconds``, so that a call
+    that would enumerate 2**40 indices fails instead of hanging the run."""
+
+    def expire(signum, frame):
+        raise Expired(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@pytest.mark.parametrize(
+    "family", [["ghz"], ["plus"], ["w"], ["dicke", "--e", "20"]], ids=["ghz", "plus", "w", "dicke"]
+)
+def test_family_state_beyond_physical_memory_exits_2(capsys, monkeypatch, family):
+    # 2**40 amplitudes are 16 TiB: the constructor refuses them before it
+    # allocates the array or lists the basis indices of a Dicke state
+    monkeypatch.setenv("ENTMON_MAX_QUBITS", "40")
+    tracemalloc.start()
+    try:
+        with time_limit(1.0):
+            code = main(["analyze", "--family", family[0], "--n", "40", *family[1:]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: a 40-qubit state needs 1.638e+04 GiB of amplitudes")
+    assert "physical memory" in err
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(
@@ -492,14 +549,14 @@ def fuzz_state_files(tmp_path_factory):
 
 
 @st.composite
-def argvs(draw, state_files):
+def argvs(draw):
     command = draw(st.sampled_from(sorted(GRAMMAR)))
     options = GRAMMAR[command]
     argv = [command]
     flags = draw(NEEDED[command]) + draw(st.lists(st.sampled_from(sorted(options)), max_size=3))
     for flag in flags:
         value = draw(options[flag])
-        argv += [flag, state_files[value] if flag == "--state" else value]
+        argv += [flag, value]
     # most argvs are well formed, so that the commands run
     if draw(st.integers(0, 3)) == 0:
         for token in draw(st.lists(GARBAGE, min_size=1, max_size=2)):
@@ -509,9 +566,11 @@ def argvs(draw, state_files):
 
 # about 1.5 s on a 2-core Xeon
 @settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_cli_argv_fuzz_exits_cleanly(fuzz_state_files, data):
-    argv = data.draw(argvs(fuzz_state_files), label="argv")
+@given(argv=argvs())
+@example(argv=["analyze", "--family", "ghz", "--n", "3", "--zero-policy", "maximize:99999999999"])
+def test_cli_argv_fuzz_exits_cleanly(fuzz_state_files, argv):
+    # the --state values name the fixture's files; no other token is one
+    argv = [fuzz_state_files.get(token, token) for token in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

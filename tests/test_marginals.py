@@ -115,7 +115,9 @@ def test_kernel_matches_reductions_on_fixtures(n):
         assert np.max(np.abs(blocks - ref_blocks), initial=0.0) < 1e-12, name
 
 
-@pytest.mark.parametrize("n", [11, 13, 16])
+# n = 18 is the first n whose half-state spans more than one chunk: there
+# qubit 1's bit lies above a chunk of psi[x_0=1]
+@pytest.mark.parametrize("n", [11, 13, 16, 18])
 def test_kernel_matches_reductions_at_larger_n(n):
     for state in (make_random_haar(n, 7 * n), make_dicke(n, n // 3)):
         bloch, blocks = marginals(state)
@@ -139,7 +141,24 @@ def test_flip_and_strided_kernels_agree(n):
             assert np.array_equal(a, b), name
 
 
-@pytest.mark.parametrize("n", [5, 11])  # one kernel each side of the threshold
+@pytest.mark.parametrize("chunk", [1, 2**8])
+@pytest.mark.parametrize("n", [11, 13])
+def test_chunked_sums_match_one_pass(n, chunk, monkeypatch):
+    # small chunks take every branch the large states take: rows of psi[x_k=1]
+    # split across chunks and chunks of several rows, qubits whose bit lies
+    # above a chunk, and the sign moments in several row blocks (a chunk of
+    # 1 is raised to one row of the c_k split)
+    for name, state in fixtures(n).items():
+        whole = tensor._strided_moments(state.amplitudes, n)
+        monkeypatch.setattr(tensor, "_CHUNK", chunk)
+        chunked = tensor._strided_moments(state.amplitudes, n)
+        monkeypatch.undo()
+        for a, b in zip(whole, chunked):
+            assert np.max(np.abs(a - b)) < 1e-13, name
+
+
+# one kernel each side of the threshold, and the strided one over two chunks
+@pytest.mark.parametrize("n", [5, 11, 18])
 def test_kernel_outputs_are_read_only_real_and_symmetric(n):
     bloch, blocks = marginals(make_random_haar(n, 2))
     assert bloch.dtype == np.float64 and blocks.dtype == np.float64
@@ -151,8 +170,9 @@ def test_kernel_outputs_are_read_only_real_and_symmetric(n):
 
 
 def test_kernel_workspace_is_half_a_state():
-    # conj(psi[x_k=1]) in one half-state buffer is the only state-sized
-    # transient; a full conj(psi) copy plus a stored c_k peaks at 1.5 states
+    # at n = 16 one chunk of conj(psi[x_k=1]) is the whole half-state, the
+    # kernel's only state-sized transient; a full conj(psi) copy plus a
+    # stored c_k would peak at 1.5 states
     n = 16
     state = make_random_haar(n, 16)
     before = state.amplitudes.tobytes()
@@ -168,6 +188,25 @@ def test_kernel_workspace_is_half_a_state():
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
         assert not a.flags.writeable and not b.flags.writeable
+
+
+def test_kernel_workspace_is_one_chunk_beyond_seventeen_qubits():
+    # a half-state of 19 qubits is 4 MiB, eight chunks of 2**16 amplitudes:
+    # only the 1 MiB chunk buffer is held, never a state-sized array
+    n = 19
+    state = make_random_haar(n, 19)
+    before = state.amplitudes.tobytes()
+    first = marginals(state)
+    tracemalloc.start()
+    try:
+        second = marginals(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+    assert state.amplitudes.tobytes() == before
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
 
 
 def permuted(state: PureState, perm: list[int]) -> PureState:
