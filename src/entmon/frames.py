@@ -110,6 +110,13 @@ def _unit_axes(axes, n: int) -> np.ndarray:
     return a
 
 
+def _zero_bloch(bloch: np.ndarray) -> np.ndarray:
+    """The mask of the qubits whose Bloch vector (a row of the (n, 3)
+    ``bloch``) vanishes: norm <= EPS_BLOCH. The one rule for which qubits
+    have no Bloch direction, so the frames and the maximize search agree."""
+    return np.linalg.norm(bloch, axis=1) <= EPS_BLOCH
+
+
 def preferred_axes(bloch, policy: ZeroPolicy | None = None) -> np.ndarray:
     """Unit z axis of every qubit's preferred frame, shape (n, 3), from the
     Bloch vectors ``bloch`` (shape (n, 3)).
@@ -122,10 +129,9 @@ def preferred_axes(bloch, policy: ZeroPolicy | None = None) -> np.ndarray:
     bloch = np.asarray(bloch, dtype=float)
     if bloch.ndim != 2 or bloch.shape[1] != 3:
         raise ValueError(f"expected Bloch vectors of shape (n, 3), got {bloch.shape}")
-    norms = np.linalg.norm(bloch, axis=1)
-    zero = norms <= EPS_BLOCH
+    zero = _zero_bloch(bloch)
     axes = np.empty_like(bloch)
-    axes[~zero] = bloch[~zero] / norms[~zero, None]
+    axes[~zero] = bloch[~zero] / np.linalg.norm(bloch[~zero], axis=1)[:, None]
     axes[zero] = policy.axis if policy.mode == FIXED_AXIS else _Z
     return axes
 

@@ -113,9 +113,12 @@ class PureState:
                 f"amplitude vector must have length 2**{self.n} = {2**self.n}, "
                 f"got shape {amps.shape}"
             )
-        if not np.isfinite(amps).all():
-            raise ValueError("amplitudes must be finite numbers")
         norm_sq = float(np.vdot(amps, amps).real)
+        # a sum of squares is finite exactly when every amplitude is and
+        # nothing overflows, so only a non-finite norm needs the elementwise
+        # check, to tell the two faults apart
+        if not math.isfinite(norm_sq) and not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite numbers")
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
         amps.setflags(write=False)

@@ -34,6 +34,7 @@ from entmon import (
     tensor_product,
     verify_partition_term_max,
 )
+from entmon import detector
 from entmon.detector import EPS_DET
 from entmon.tensor import marginals
 from lu_oracles import su2_from_rotation, z_axes
@@ -178,6 +179,29 @@ def test_m_pb_maximize_without_zero_bloch_matches_canonical():
     )
 
 
+def test_m_pb_searches_only_the_qubits_preferred_axes_call_zero(monkeypatch):
+    # this Bloch norm reads 1e-09 as a single vector but 1.0000000000000003e-09
+    # row-wise: one rule must decide both whether the qubit keeps its Bloch
+    # direction and whether the search replaces its axis
+    bloch = np.array([[6.124409730195112e-10, 4.05565885932061e-10, 6.785516684343626e-10],
+                      [0.0, 0.0, 1.0]])
+    assert not np.allclose(preferred_axes(bloch)[0], (0.0, 0.0, 1.0))
+    blocks = np.zeros((2, 2, 3, 3))
+    blocks[0, 1] = blocks[1, 0] = np.eye(3)
+    monkeypatch.setattr(detector, "marginals", lambda state: (bloch, blocks))
+    searched = []
+    search = detector._maximize_zero_axes
+
+    def spy(blocks, P, zero, policy):
+        searched.append(zero)
+        return search(blocks, P, zero, policy)
+
+    monkeypatch.setattr(detector, "_maximize_zero_axes", spy)
+    state = make_ghz(2)
+    assert m_pb(state, ZeroPolicy.maximize(16)) == m_pb(state)
+    assert searched == []
+
+
 def test_m_pb_fixed_axis_on_ghz():
     # choosing x as every zero-Bloch qubit's z-axis turns each pair's zz
     # correlation fully in-plane: every pair contributes 1
@@ -237,9 +261,9 @@ def test_monogamy_bell():
 
 def test_monogamy_w_identity_frames():
     rep = monogamy_check(make_dicke(3, 1), z_axes(3))
-    for v in rep.pair_values.values():
-        assert v == pytest.approx(8 / 9, abs=1e-12)
-    assert rep.triple_sums[(0, 1, 2)] == pytest.approx(8 / 3, abs=1e-12)
+    for k, l in itertools.combinations(range(3), 2):
+        assert rep.pair_values[(k, l)] == pytest.approx(8 / 9, abs=1e-12)
+    # the one triple sum is 3 * 8/9 = 8/3
     assert rep.triple_slack == pytest.approx(3 - 8 / 3, abs=1e-12)
 
 
@@ -247,7 +271,7 @@ def test_monogamy_single_qubit_product_all_zero():
     state = make_plus_product(4)
     rep = monogamy_check(state, preferred(state))
     assert rep.total == pytest.approx(0.0, abs=1e-12)
-    assert all(v == pytest.approx(0.0, abs=1e-12) for v in rep.pair_values.values())
+    assert np.all(np.abs(rep.pair_values) <= 1e-12)
 
 
 def test_monogamy_total_is_sum_of_pairs():
@@ -255,8 +279,90 @@ def test_monogamy_total_is_sum_of_pairs():
     state = make_random_haar(4, 99)
     axes = [random_rotation(rng)[2] for _ in range(4)]
     rep = monogamy_check(state, axes)
-    assert rep.total == pytest.approx(sum(rep.pair_values.values()), abs=1e-10)
-    assert all(v >= 0 for v in rep.pair_values.values())
+    pairs = list(itertools.combinations(range(4), 2))
+    assert rep.total == pytest.approx(sum(rep.pair_values[p] for p in pairs), abs=1e-10)
+    assert np.all(rep.pair_values >= 0)
+
+
+def random_axes(rng, n: int) -> np.ndarray:
+    axes = rng.standard_normal((n, 3))
+    return axes / np.linalg.norm(axes, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_pair_values_match_per_pair_products(n):
+    rng = np.random.default_rng(n)
+    for state in (make_random_haar(n, 40 + n), make_ghz(n), make_dicke(n, n // 2)):
+        P = detector._projectors(random_axes(rng, n))
+        _, blocks = marginals(state)
+        values = detector._pair_values(P, blocks)
+        for k, l in itertools.combinations(range(n), 2):
+            B = P[k] @ blocks[k, l] @ P[l]
+            want = float(np.sum(B * B))
+            assert abs(values[k, l] - want) <= 1e-15 * max(want, 1.0), (k, l)
+
+
+def test_monogamy_report_pair_values_are_a_read_only_symmetric_table():
+    n = 6
+    rep = monogamy_check(make_random_haar(n, 5), random_axes(np.random.default_rng(5), n))
+    values = rep.pair_values
+    assert values.shape == (n, n)
+    assert np.array_equal(values, values.T)
+    assert np.all(np.diag(values) == 0.0)
+    with pytest.raises(ValueError):
+        values[0, 1] = 0.0
+
+
+def dict_monogamy(state, axes, bounds):
+    """Slacks and violation count of monogamy_check from dicts of per-pair
+    values, every two-term sum over a shared qubit and every triple sum."""
+    n = state.n
+    P = detector._projectors(np.asarray(axes, dtype=float))
+    _, blocks = marginals(state)
+    pairs = list(itertools.combinations(range(n), 2))
+    values = {(k, l): detector._inplane_sq(blocks[k, l], P[k], P[l]) for k, l in pairs}
+    two_term = {
+        (p1, p2): values[p1] + values[p2]
+        for q in range(n)
+        for p1, p2 in itertools.combinations([p for p in pairs if q in p], 2)
+    }
+    triple = {
+        (k, l, m): values[k, l] + values[l, m] + values[k, m]
+        for k, l, m in itertools.combinations(range(n), 3)
+    }
+    families = (values.values(), two_term.values(), triple.values(), [sum(values.values())])
+    slacks = [min((b - v for v in vs), default=math.inf) for b, vs in zip(bounds, families)]
+    violations = sum(v > b + EPS_DET for b, vs in zip(bounds, families) for v in vs)
+    return slacks, violations
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("tight", [False, True], ids=["bounds", "tight-bounds"])
+def test_monogamy_check_matches_dict_oracle(n, tight, monkeypatch):
+    if tight:
+        # bounds inside the range of the sums, so every family counts some
+        # sums as violations and passes others
+        monkeypatch.setattr(detector, "_monogamy_bounds", lambda n: {
+            "pair": 0.3, "two_term": 0.6, "triple": 0.9, "total": 0.15 * math.comb(n, 2)})
+    bounds = list(detector._monogamy_bounds(n).values())
+    rng = np.random.default_rng(100 + n)
+    for seed in range(4):
+        state, axes = make_random_haar(n, seed), random_axes(rng, n)
+        rep = monogamy_check(state, axes)
+        slacks, violations = dict_monogamy(state, axes, bounds)
+        got = (rep.pair_slack, rep.two_term_slack, rep.triple_slack, rep.total_slack)
+        for a, b in zip(got, slacks):
+            assert a == b if math.isinf(b) else abs(a - b) <= 1e-12
+        assert rep.violations == violations
+
+
+def test_sum_indices_are_cached_and_read_only():
+    pairs, shared, triples = detector._sum_indices(5)
+    assert detector._sum_indices(5) is detector._sum_indices(5)
+    assert list(zip(*pairs)) == list(itertools.combinations(range(5), 2))
+    assert list(zip(*triples)) == list(itertools.combinations(range(5), 3))
+    assert len(shared[0]) == 5 * math.comb(4, 2)
+    assert not any(column.flags.writeable for column in (*pairs, *shared, *triples))
 
 
 def test_monogamy_stress_small():

@@ -325,3 +325,29 @@ def test_block_ends_at_every_offset_of_a_pair(monkeypatch, separators):
         data = (" " * shift + doc).encode()
         assert block_reader(data) is not None
         assert_paths_agree(data)
+
+
+def test_a_valid_load_checks_finiteness_once(tmp_path, monkeypatch):
+    # the load checks the re/im values; the state it builds then relies on
+    # its finite norm, which is finite exactly when every amplitude is
+    n = 8
+    state = sv.make_random_haar(n, 4)
+    path = tmp_path / "haar8.json"
+    path.write_text(json.dumps(sv.state_to_json_dict(state)))
+    sizes = []
+    isfinite = np.isfinite
+
+    def spy(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", spy)
+    loaded = _load_state_file(str(path))
+    assert np.array_equal(loaded.amplitudes, state.amplitudes)
+    assert sizes == [2 ** (n + 1)]
+    sv.PureState(n, state.amplitudes)
+    assert sizes == [2 ** (n + 1)]
+    # a non-finite norm takes the elementwise check, to name the fault
+    with pytest.raises(ValueError, match="finite"):
+        sv.PureState(1, np.array([math.nan, 1.0]))
+    assert sizes[-1] == 2
