@@ -2,10 +2,10 @@
 
 ``marginals`` is the production path: it returns every Bloch vector and every
 3x3 pair block of a state, from a few products of small tables up to 10
-qubits and from a handful of passes over the amplitude vector beyond. It
-never copies the state: its workspace stays near 1 MiB at any size (see
-its docstring for both kernels). The
-per-qubit and per-pair reductions (``reduced_density_single``,
+qubits, and beyond from one pass over the amplitude vector per qubit, taken
+in chunks with a few BLAS products each. It never copies the state: its
+workspace stays below 1 MiB at any size (see its docstring for both
+kernels). The per-qubit and per-pair reductions (``reduced_density_single``,
 ``reduced_density_pair``, ``bloch_vector``, ``pair_block``) stay public as the
 readable API for a single marginal and as the reference the kernel is tested
 against. ``correlation_component`` is a deliberately independent cross-check
@@ -121,14 +121,14 @@ def _sign_moments(psi: np.ndarray, n: int, work: np.ndarray) -> np.ndarray:
     first moments, G[1:, 1:] the second moments.
 
     p is split as P = 2**h x 2**(n-h) and taken in blocks of whole rows
-    that fill the float64 view of ``work``; the row sums, column sums and
+    that fill the float64 view of ``work``, up to all of p; the row sums, column sums and
     (hi^T P) lo of the blocks add up to those of P, and a single block
     gives the bits of one pass."""
     h = n // 2
     W = 1 << (n - h)
     hi = _sign_table(h)
     lo = _sign_table(n - h)[:, 1:]
-    buf = work.view(np.float64)  # a power of two of at least W floats
+    buf = work.view(np.float64)[: 1 << n]  # a power of two of at least W floats
     block = len(buf)
     rows = np.empty(1 << h)
     for start in range(0, 1 << n, block):
@@ -152,11 +152,14 @@ def _sign_moments(psi: np.ndarray, n: int, work: np.ndarray) -> np.ndarray:
 
 
 # marginals takes its moments from the flip tables up to this many qubits and
-# from strided passes beyond: the measured crossover (see marginals)
+# from chunked passes beyond: the measured crossover (see marginals)
 _FLIP_MAX_QUBITS = 10
-# the strided kernel reads conj(psi[x_k=1]) in chunks of this many amplitudes
-# (1 MiB), its only buffer; a half-state of up to 17 qubits is one chunk
-_CHUNK = 1 << 16
+# the strided kernel copies psi[x_k=0] and conj(psi[x_k=1]) in chunks of this
+# many amplitudes (256 KiB each) into its only two buffers
+_CHUNK = 1 << 14
+# the lowest bits of a chunk, whose A and B come from one Gram product of
+# its rows of 2**_GRAM_BITS amplitudes
+_GRAM_BITS = 4
 
 
 def marginals(state: PureState) -> tuple[np.ndarray, np.ndarray]:
@@ -177,16 +180,17 @@ def marginals(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     Two kernels compute these moments and one assembly turns them into
     blocks. Up to ``_FLIP_MAX_QUBITS`` = 10 qubits, ``_flip_moments`` reads
     all of them from a few (n, 2**n) arrays in about ten NumPy calls, which
-    is what a small state costs; beyond, ``_strided_moments`` reads the
-    state through one buffer of at most ``_CHUNK`` = 2**16 amplitudes
-    (1 MiB), so a call holds no state-sized array of its own. The threshold
-    is the measured crossover. Per call, on a 2-core Xeon with NumPy 2.4
-    and OpenBLAS, the tables are 3.1-7.1x faster at n = 4-9, 0.94-1.43x
-    (median 1.24x) at n = 10, 0.76-1.05x (median 0.79x) at n = 11 and
-    0.51-0.56x at n = 12. The kernels sum in different orders, so their
-    results agree to about 1e-15, not bit for bit. Up to 17 qubits the
-    buffer holds a whole half-state; beyond, the strided sums are added up
-    chunk by chunk, which moves only their last digits.
+    is what a small state costs; beyond, ``_strided_moments`` copies the
+    two halves of each qubit's bit through two buffers of ``_CHUNK`` = 2**14
+    amplitudes (512 KiB together) and takes every sum from a few BLAS
+    products per chunk, so a call holds no state-sized array of its own.
+    The threshold is the measured crossover. Per call, on a 2-core Xeon
+    with NumPy 2.4 and OpenBLAS (five runs of 301 alternating calls, each a
+    median), the tables are 4.6-6.7x faster at n = 4-8, 2.7x at n = 9 and
+    1.63-1.67x at n = 10, and 0.58-0.59x as fast at n = 11 and 0.41-0.42x
+    at n = 12. The kernels sum in different orders, so their results agree
+    to about 1e-15, not bit for bit. From 16 qubits on a half-state spans
+    several chunks, whose sums are added up in turn.
     """
     n = state.n
     moments = _flip_moments if n <= _FLIP_MAX_QUBITS else _strided_moments
@@ -196,11 +200,11 @@ def marginals(state: PureState) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=None)
 def _flip_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tables of n qubits: flip[k, z] is z with qubit k's bit flipped and
-    on[k, z] is 1.0 where that bit of z is 1, else 0.0 (both (n, 2**n));
-    upper[k, l] is 1.0 for k < l, else 0.0."""
+    on[k, z] is True where that bit of z is 1 (both (n, 2**n)); upper[k, l]
+    is 1.0 for k < l, else 0.0."""
     z = np.arange(1 << n)
     bit = 1 << np.arange(n - 1, -1, -1)[:, None]
-    tables = (z ^ bit, ((z & bit) != 0).astype(np.float64), np.triu(np.ones((n, n)), 1))
+    tables = (z ^ bit, (z & bit) != 0, np.triu(np.ones((n, n)), 1))
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -220,11 +224,14 @@ def _flip_moments(psi: np.ndarray, n: int):
     T = _sign_table(n)
     flip, on, upper = _flip_tables(n)
     off_F = psi[flip]
-    on_F = on * off_F
+    # selected, not multiplied by a float mask, which NumPy would cast to
+    # complex in a buffer beside the result
+    on_F = np.where(on, off_F, 0)
     off_F -= on_F  # exact: on_F is either F or zero
     U = np.abs(psi)[:, None] * T
     G = U.T @ U  # one operand twice: a symmetric product, so G is exactly symmetric
-    c = on_F @ (np.conjugate(psi)[:, None] * T)
+    # the complex copy of T: NumPy would cast T to complex in a buffer anyway
+    c = on_F @ (np.conjugate(psi)[:, None] * _sign_table(n, np.complex128))
     # conj(on F) = on conj F, so A = conj(conj(on F) (off F)^T)
     on_F_c = np.conjugate(on_F)
     A = np.conjugate(on_F_c @ off_F.T) * upper
@@ -232,82 +239,123 @@ def _flip_moments(psi: np.ndarray, n: int):
     return G, c, A, B
 
 
+@lru_cache(maxsize=None)
+def _gram_masks(g: int) -> np.ndarray:
+    """(2 g, 4**g) 0/1 matrix that reads A and B of the lowest g bits from a
+    Gram product. With M[u, v] = sum_r a[r w + u] b[r w + v] over a chunk
+    split as rows of w = 2**g, row i (bit e = g - 1 - i, so the qubits come in
+    order) sums M[u, u | 2**e] over the u with bit e clear, which is A, and
+    row g + i sums M[u, u & ~2**e] over the u with it set, which is B.
+    Complex, so that the product with M casts nothing."""
+    w = 1 << g
+    u = np.arange(w)[:, None]
+    v = np.arange(w)
+    d = 1 << np.arange(g - 1, -1, -1)[:, None, None]
+    masks = np.concatenate(
+        ((u & d == 0) & (v == u | d), (u & d != 0) & (v == u & ~d))
+    ).reshape(2 * g, w * w).astype(np.complex128)
+    masks.setflags(write=False)
+    return masks
+
+
 def _strided_moments(psi: np.ndarray, n: int):
-    """The moments of ``marginals`` from strided passes over the state.
+    """The moments of ``marginals`` from chunked passes over the state.
 
     Every z moment comes from the row and column sums of a vector over m bits
     reshaped to 2**h x 2**(m-h), times small cached sign tables, so these
-    cost O(n) passes over the state. Only A and B need a pass per pair, over
-    strided views. For each k, conj(psi[x_k=1]) is taken one chunk of at
-    most ``_CHUNK`` amplitudes at a time into one buffer, and the sums of
-    c_k and the A and B of every l > k are read from that chunk and
-    psi[x_k=0]; c_k is never stored. The transient memory is that buffer,
-    1 MiB, plus vectors of length O(2**(n/2)), whatever the size of the
-    state. Up to 17 qubits a chunk is the whole half-state, and the sums
-    are taken in one piece.
+    cost O(n) passes over the state. For each k, psi[x_k=0] and
+    conj(psi[x_k=1]) are copied one chunk of ``_CHUNK`` amplitudes at a time
+    into two contiguous buffers a and b, and each pair of chunks gives the A
+    and B of every l > k and the sums of c_k through a few BLAS-backed
+    products. Qubit l is bit d = 2**(m-l) of the half-state index, so:
+
+    - the lowest ``_GRAM_BITS`` = 4 bits of a chunk come from one Gram
+      product of its rows of 16, read out by ``_gram_masks``;
+    - each other bit inside the chunk comes from one batched matmul of the
+      dots of a's and b's halves of that bit, whose terms one reduceat per
+      chunk adds up;
+    - a bit above the chunk (only when 2**(m-k) > ``_CHUNK``) puts the whole
+      chunk in one half of it, and one dot with the partner run of psi[x_k=0]
+      gives its A or B;
+    - c_k = a b is then formed in place in a, and its row and column sums are
+      two matrix-vector products; c_k is never stored whole.
+
+    The transient memory is the two buffers, 512 KiB, plus vectors of length
+    O(2**(n/2) + ``_CHUNK``/8), whatever the size of the state.
     """
     m = n - 1
     h = m // 2
     W = 1 << (m - h)
     # a chunk holds whole rows of the 2**h x W split of a half-state
     chunk = min(1 << m, max(_CHUNK, W))
-    # the only buffer: p = |psi|^2 in row blocks, then the chunks of
-    # conj(psi[x_k=1]); one allocation per call
-    work = np.empty(chunk, dtype=np.complex128)
+    bits = chunk.bit_length() - 1
+    # the only buffers, one allocation per call: p = |psi|^2 in row blocks,
+    # then the chunks a and b
+    work = np.empty(2 * chunk, dtype=np.complex128)
     G = _sign_moments(psi, n, work)
+    a, b = work[:chunk], work[chunk:]
+
+    g = min(_GRAM_BITS, bits)
+    masks = _gram_masks(g)
+    # the bits d = 2**g .. chunk/2 inside a chunk, smallest d first: the
+    # matmul of bit d writes its chunk/2d terms of A, then those of B, to
+    # the next two segments of parts, so the bits of the qubits l > k are
+    # a prefix of the dots and of parts
+    bounds = np.cumsum([0] + [chunk >> (e + 1) for e in range(g, bits) for _ in "AB"])
+    parts = np.empty(bounds[-1], dtype=np.complex128)
+    dots = []
+    for u, e in enumerate(range(g, bits)):
+        half = chunk >> (e + 1)
+        out = parts[bounds[2 * u] : bounds[2 * u + 2]].reshape(2, half, 1, 1)
+        a3, b3 = a.reshape(half, 2, 1, 1 << e), b.reshape(half, 2, 1 << e, 1)
+        dots.append((a3, b3[:, ::-1], out.transpose(1, 0, 2, 3)))
 
     # row k: sum c_k, then sum c_k s_l for the other qubits l in order, from
     # the row and column sums of c_k split as 2**h x W (never stored)
     hi = _sign_table(h, np.complex128)
-    lo = _sign_table(m - h, np.complex128)[:, 1:]
+    lo = _sign_table(m - h, np.complex128)  # its column of ones is dropped below
+    ones = np.ones(max(W, chunk // W), dtype=np.complex128)
     rows = np.empty(1 << h, dtype=np.complex128)
+    cols = np.empty(W, dtype=np.complex128)
     c_sums = np.empty((n, n), dtype=np.complex128)
     # A[k, l] and B[k, l] for k < l
-    A = np.zeros((n, n), dtype=np.complex128)
-    B = np.zeros((n, n), dtype=np.complex128)
+    AB = np.zeros((n, 2, n), dtype=np.complex128)
     for k in range(n):
         L = 1 << (m - k)
         halves = psi.reshape(1 << k, 2, L)
-        # a chunk is R rows i of S amplitudes j of psi[x_k=1] (index i*L + j)
+        # a chunk is R rows i of S amplitudes j of a half (index i*L + j)
         R, S = max(1, chunk // L), min(L, chunk)
+        # the qubits l > k from k + 1 lie above the chunk, from inside on
+        # inside it, and from gram on among the Gram bits
+        inside = max(k + 1, m - bits + 1)
+        gram = max(k + 1, m - g + 1)
+        used = gram - inside  # the inside bits, from d = 2**g up
+        cols[:] = 0
         for start in range(0, 1 << m, chunk):
             i, j = divmod(start, L)
-            a = halves[i : i + R, 0, j : j + S]
-            b = np.conjugate(halves[i : i + R, 1, j : j + S], out=work.reshape(R, S))
-            r = start // W
-            if S >= W:
-                a3, b3 = a.reshape(R, S // W, W), b.reshape(R, S // W, W)
-                rows[r : r + chunk // W] = np.einsum("iuw,iuw->iu", a3, b3).ravel()
-                cols_part = np.einsum("iuw,iuw->w", a3, b3)
-            else:
-                a3, b3 = a.reshape(chunk // W, W // S, S), b.reshape(chunk // W, W // S, S)
-                rows[r : r + chunk // W] = np.einsum("ivl,ivl->i", a3, b3)
-                cols_part = np.einsum("ivl,ivl->vl", a3, b3).ravel()
-            AB_part = np.zeros((2, n), dtype=np.complex128)
-            for l in range(k + 1, n):
-                d = 1 << (m - l)  # qubit l's bit in j
-                if 2 * d <= S:
-                    shape = (R, S // (2 * d), 2, d)
-                    a_l, b_l = a.reshape(shape), b.reshape(shape)
-                    AB_part[0, l] = np.einsum("iab,iab->", a_l[:, :, 0], b_l[:, :, 1])
-                    AB_part[1, l] = np.einsum("iab,iab->", a_l[:, :, 1], b_l[:, :, 0])
-                else:
-                    # the bit lies above the chunk (R = 1), so the chunk sits
-                    # in one half of it: x_l = 1 pairs with psi[x_k=0] at
-                    # j - d for A, x_l = 0 with psi[x_k=0] at j + d for B
-                    flip = j ^ d
-                    partner = halves[i : i + 1, 0, flip : flip + S]
-                    AB_part[int(flip > j), l] = np.einsum("ij,ij->", partner, b)
-            # the first chunk's sums are taken as they are, so that a single
-            # chunk gives the bits of one pass over the half-state
-            if start == 0:
-                cols, AB = cols_part, AB_part
-            else:
-                cols += cols_part
-                AB += AB_part
+            np.copyto(a.reshape(R, S), halves[i : i + R, 0, j : j + S])
+            # copied, then conjugated in place: a conjugate of R > 1 strided
+            # rows would take a 128 KiB ufunc buffer
+            np.copyto(b.reshape(R, S), halves[i : i + R, 1, j : j + S])
+            np.conjugate(b, out=b)
+            M = a.reshape(-1, 1 << g).T @ b.reshape(-1, 1 << g)
+            AB[k, :, gram:] += (masks @ M.ravel()).reshape(2, g)[:, gram - (m - g + 1) :]
+            if used > 0:
+                for x, y, out in dots[:used]:
+                    np.matmul(x, y, out=out)
+                terms = np.add.reduceat(parts[: bounds[2 * used]], bounds[: 2 * used])
+                AB[k, :, inside:gram] += terms.reshape(used, 2).T[:, ::-1]
+            for l in range(k + 1, inside):
+                # the bit lies above the chunk (R = 1), so the chunk sits in
+                # one half of it: x_l = 1 pairs with psi[x_k=0] at j - d for
+                # A, x_l = 0 with psi[x_k=0] at j + d for B
+                flip = j ^ (1 << (m - l))
+                AB[k, int(flip > j), l] += np.dot(halves[i, 0, flip : flip + S], b)
+            P = np.multiply(a, b, out=a).reshape(-1, W)
+            np.matmul(P, ones[:W], out=rows[start // W : start // W + len(P)])
+            cols += ones[: len(P)] @ P
         np.dot(rows, hi, out=c_sums[k, : h + 1])
-        np.dot(cols, lo, out=c_sums[k, h + 1 :])
-        A[k], B[k] = AB
+        c_sums[k, h + 1 :] = np.dot(cols, lo)[1:]
 
     # into the sign table's layout: column 1 + l for qubit l, row k's own
     # column left zero; row k of c_sums lists the qubits l != k in order,
@@ -315,7 +363,7 @@ def _strided_moments(psi: np.ndarray, n: int):
     c = np.zeros((n, n + 1), dtype=np.complex128)
     c[:, 0] = c_sums[:, 0]
     c[:, 1:][~np.eye(n, dtype=bool)] = c_sums[:, 1:].ravel()
-    return G, c, A, B
+    return G, c, AB[:, 0], AB[:, 1]
 
 
 def _assemble(G: np.ndarray, c: np.ndarray, A: np.ndarray, B: np.ndarray):

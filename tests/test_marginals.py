@@ -115,8 +115,9 @@ def test_kernel_matches_reductions_on_fixtures(n):
         assert np.max(np.abs(blocks - ref_blocks), initial=0.0) < 1e-12, name
 
 
-# n = 18 is the first n whose half-state spans more than one chunk: there
-# qubit 1's bit lies above a chunk of psi[x_0=1]
+# n = 16 is the first n whose half-state spans more than one chunk, and
+# there qubit 1's bit lies above a chunk of psi[x_0=1]; at n = 18 the bits of
+# qubits 1-3 do
 @pytest.mark.parametrize("n", [11, 13, 16, 18])
 def test_kernel_matches_reductions_at_larger_n(n):
     for state in (make_random_haar(n, 7 * n), make_dicke(n, n // 3)):
@@ -142,22 +143,34 @@ def test_flip_and_strided_kernels_agree(n):
 
 
 @pytest.mark.parametrize("chunk", [1, 2**8])
-@pytest.mark.parametrize("n", [11, 13])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 11, 13])
 def test_chunked_sums_match_one_pass(n, chunk, monkeypatch):
-    # small chunks take every branch the large states take: rows of psi[x_k=1]
-    # split across chunks and chunks of several rows, qubits whose bit lies
-    # above a chunk, and the sign moments in several row blocks (a chunk of
-    # 1 is raised to one row of the c_k split)
-    for name, state in fixtures(n).items():
+    # small chunks take every case the large states take. A chunk is raised
+    # to one row of the c_k split, 2**ceil((n-1)/2) amplitudes: a chunk of 1
+    # is 32 amplitudes at n = 11 and 64 at n = 13. So the rows of qubit k's
+    # halves, 2**(n-1-k) amplitudes long, are split across chunks and put
+    # some qubits' bits above a chunk (k <= 4 at n = 11), chunks hold several
+    # rows (k >= 6), and rows shorter than the Gram product's 16 share its
+    # rows (k >= 7); bits between the Gram bits and the chunk size take the
+    # batched dots, one or two of them at chunk 1 and four at 256; and the
+    # sign moments take several row blocks of the smaller workspace.
+    # At n = 5 and 3 a chunk of 1 is 4 and 2 amplitudes, narrower than the
+    # Gram width, with bits above it; n = 2 and 1 are the smallest states.
+    # Each case is held to the per-pair reductions too, since the one pass
+    # shares the chunked code.
+    names = fixtures(n) if n >= 2 else {"haar": make_random_haar(1, 3)}
+    for name, state in names.items():
         whole = tensor._strided_moments(state.amplitudes, n)
         monkeypatch.setattr(tensor, "_CHUNK", chunk)
         chunked = tensor._strided_moments(state.amplitudes, n)
         monkeypatch.undo()
         for a, b in zip(whole, chunked):
             assert np.max(np.abs(a - b)) < 1e-13, name
+        for a, b in zip(tensor._assemble(*chunked), reference_marginals(state)):
+            assert np.max(np.abs(a - b), initial=0.0) < 1e-12, name
 
 
-# one kernel each side of the threshold, and the strided one over two chunks
+# one kernel each side of the threshold, and the strided one over several chunks
 @pytest.mark.parametrize("n", [5, 11, 18])
 def test_kernel_outputs_are_read_only_real_and_symmetric(n):
     bloch, blocks = marginals(make_random_haar(n, 2))
@@ -170,7 +183,7 @@ def test_kernel_outputs_are_read_only_real_and_symmetric(n):
 
 
 def test_kernel_workspace_is_half_a_state():
-    # at n = 16 one chunk of conj(psi[x_k=1]) is the whole half-state, the
+    # at n = 16 the two chunk buffers together hold half a state, the
     # kernel's only state-sized transient; a full conj(psi) copy plus a
     # stored c_k would peak at 1.5 states
     n = 16
@@ -191,8 +204,8 @@ def test_kernel_workspace_is_half_a_state():
 
 
 def test_kernel_workspace_is_one_chunk_beyond_seventeen_qubits():
-    # a half-state of 19 qubits is 4 MiB, eight chunks of 2**16 amplitudes:
-    # only the 1 MiB chunk buffer is held, never a state-sized array
+    # a half-state of 19 qubits is 4 MiB, sixteen chunks of 2**14 amplitudes:
+    # only the two 256 KiB chunk buffers are held, never a state-sized array
     n = 19
     state = make_random_haar(n, 19)
     before = state.amplitudes.tobytes()
@@ -203,10 +216,30 @@ def test_kernel_workspace_is_one_chunk_beyond_seventeen_qubits():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 2**20
+    assert peak < 2**20
     assert state.amplitudes.tobytes() == before
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
+
+
+def test_flip_kernel_allocates_no_casting_buffer():
+    # the flipped state is selected by a boolean mask and multiplied by the
+    # sign table's complex copy; a float operand would take a casting buffer
+    # beside each product (858 KiB peak at n = 10, against about 731)
+    n = 10
+    psi = make_random_haar(n, 10).amplitudes
+    first = tensor._flip_moments(psi, n)
+    tracemalloc.start()
+    try:
+        second = tensor._flip_moments(psi, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * 2**20
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
+    # a cast of the mask would come before the peak, so its dtype shows it
+    assert tensor._flip_tables(n)[1].dtype == np.bool_
 
 
 def permuted(state: PureState, perm: list[int]) -> PureState:
