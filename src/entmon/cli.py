@@ -4,6 +4,9 @@ Exit status: 0 success, 1 a stress run found a bound violation, 2 input
 validation failure. JSON output is deterministic (floats rendered with 17
 significant digits, fixed key order), so identical invocations produce
 byte-identical documents.
+
+Each command imports the modules it runs, so building the parser, ``--help``,
+a usage error and ``partitions`` load no NumPy.
 """
 from __future__ import annotations
 
@@ -12,13 +15,14 @@ import csv
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .partitions import _exceeds, _threshold_families, partition_table
 
-from . import detector, families
-from .detector import DetectionReport, _exceeds, exclusion_report
-from .frames import ZeroPolicy
-from .statevec import PureState, _state_from_json_file, max_qubits
+if TYPE_CHECKING:
+    from .detector import DetectionReport
+    from .frames import ZeroPolicy
+    from .statevec import PureState
 
 
 class InputError(Exception):
@@ -41,9 +45,9 @@ def _emit(obj, out: list[str]) -> None:
         out.append("null")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float):
         value = float(obj)
         if not math.isfinite(value):
             raise ValueError(f"cannot serialize non-finite number {value!r}")
@@ -67,7 +71,14 @@ def _emit(obj, out: list[str]) -> None:
             _emit(value, out)
         out.append("]")
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        # a NumPy scalar can exist only once NumPy is loaded
+        np = sys.modules.get("numpy")
+        if np is not None and isinstance(obj, np.integer):
+            _emit(int(obj), out)
+        elif np is not None and isinstance(obj, np.floating):
+            _emit(float(obj), out)
+        else:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _fmt(value: float) -> str:
@@ -87,6 +98,8 @@ def _write_csv(header: list[str], rows: list[list]) -> None:
 
 def parse_zero_policy(text: str, seed: int) -> ZeroPolicy:
     """Parse canonical | axis=x,y,z | maximize[:samples]."""
+    from .frames import ZeroPolicy
+
     if text == "canonical":
         return ZeroPolicy.canonical()
     if text.startswith("axis="):
@@ -118,6 +131,8 @@ def parse_zero_policy(text: str, seed: int) -> ZeroPolicy:
 
 
 def _load_state_file(path: str) -> PureState:
+    from .statevec import _state_from_json_file, max_qubits
+
     # a malformed ENTMON_MAX_QUBITS is reported as itself, not as a fault of the file
     try:
         max_qubits()
@@ -136,6 +151,8 @@ def _load_state_file(path: str) -> PureState:
 
 
 def _resolve_state(args) -> tuple[PureState, str]:
+    from . import families
+
     if args.state is not None:
         return _load_state_file(args.state), args.state
     if args.family is None:
@@ -199,7 +216,9 @@ def _report_text(report: DetectionReport, source: str, residual: float | None) -
         "",
     ]
     if report.n == 2:
-        bound = detector._monogamy_bounds(2)["pair"]
+        from .detector import _monogamy_bounds
+
+        bound = _monogamy_bounds(2)["pair"]
         lines.append("note: k-product / depth thresholds require n >= 3; reporting the")
         lines.append("      global pair bound and the factorization residual only.")
         lines.append(f"pair bound: {bound:g}   value {_fmt(report.m_pb)}   "
@@ -245,11 +264,13 @@ def _report_text(report: DetectionReport, source: str, residual: float | None) -
 
 
 def cmd_analyze(args) -> int:
+    from . import detector
+
     state, source = _resolve_state(args)
     if state.n < 2:
         raise InputError(f"analyze needs at least 2 qubits, got n={state.n}")
     policy = parse_zero_policy(args.zero_policy, args.seed)
-    report = exclusion_report(state, policy)
+    report = detector.exclusion_report(state, policy)
     residual = detector.factorization_residual(state, 0, 1) if state.n == 2 else None
     if args.format == "json":
         print(render_json(report.to_json_dict()))
@@ -266,6 +287,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep_dicke(args) -> int:
+    from . import detector, families
+    from .frames import ZeroPolicy
+
     if args.n_max > 15 or args.n_max < 2:
         raise InputError(f"--n-max must be in 2..15, got {args.n_max}")
     rows = []
@@ -276,7 +300,7 @@ def cmd_sweep_dicke(args) -> int:
                 state = families.state_for(families.FamilySpec("dicke", n, e))
             except ValueError as exc:  # a bad ENTMON_MAX_QUBITS, or n beyond it
                 raise InputError(str(exc)) from None
-            report = exclusion_report(state, ZeroPolicy.canonical())
+            report = detector.exclusion_report(state, ZeroPolicy.canonical())
             formula = families.dicke_m_pb(n, e)
             claimed = (
                 families.dicke_claimed_depth(n) if in_domain and n >= 3 and e == (n - 1) // 2 else None
@@ -318,6 +342,8 @@ def cmd_sweep_dicke(args) -> int:
 
 
 def cmd_stress(args) -> int:
+    from . import detector
+
     if not 2 <= args.n <= 10:
         raise InputError(f"--n must be in 2..10, got {args.n}")
     if args.trials < 1:
@@ -371,9 +397,9 @@ def cmd_partitions(args) -> int:
     n, value = args.n, args.m_value
     table = [
         {"parts": list(parts), "k": len(parts), "bound": bound, "excluded": excluded}
-        for parts, bound, excluded in detector.partition_table(n, value)
+        for parts, bound, excluded in partition_table(n, value)
     ]
-    s_thr, gt, depth = detector._threshold_families(n)
+    s_thr, gt, depth = _threshold_families(n)
     if args.format == "json":
         doc = {
             "n": n,

@@ -398,12 +398,33 @@ def _fill_pairs(flat: np.ndarray, filled: int, segment: bytes) -> int:
     return filled + len(values)
 
 
+# values per block of ``_norm``'s sum: 64 KiB of float64, the reader's block size
+_NORM_BLOCK = 1 << 13
+
+
+def _norm(values: np.ndarray) -> float:
+    """The 2-norm of a float64 vector, correct to about an ulp.
+
+    Each 64 KiB block's squares are added by NumPy's pairwise sum, and the
+    block sums by ``math.fsum``. ``np.linalg.norm`` adds in order; on a
+    vector with many equal entries its rounding errors share one sign, and
+    the norm of a Dicke(20, 10) file came out 2.5e-13 off.
+    """
+    block = np.empty(min(len(values), _NORM_BLOCK))
+    sums = []
+    for start in range(0, len(values), _NORM_BLOCK):
+        part = block[:len(values) - start]
+        np.square(values[start:start + _NORM_BLOCK], out=part)
+        sums.append(float(part.sum()))
+    return math.sqrt(math.fsum(sums))
+
+
 def _state_from_flat(n: int, flat: np.ndarray) -> PureState:
     """Apply the load policy (finite, norm tolerances) to 2**(n+1) re/im values."""
     if not np.isfinite(flat).all():
         raise ValueError("amplitudes must be finite numbers")
     amps = flat.view(np.complex128)
-    norm = float(np.linalg.norm(amps))
+    norm = _norm(flat)
     err = abs(norm - 1.0)
     if err > LOAD_RENORM_TOL:
         raise ValueError(f"state norm {norm!r} deviates from 1 by {err:.3e} (> {LOAD_RENORM_TOL})")

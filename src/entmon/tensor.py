@@ -115,6 +115,16 @@ def _sign_table(m: int, dtype=np.float64) -> np.ndarray:
     return table
 
 
+def _weighted_gram(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """table.T @ (weights[:, None] * table), with the weighted copy formed one
+    column at a time: the broadcast product took a 64 KiB ufunc buffer
+    beside the copy."""
+    weighted = np.empty(table.shape)
+    for j in range(table.shape[1]):
+        np.multiply(table[:, j], weights, out=weighted[:, j])
+    return table.T @ weighted
+
+
 def _sign_moments(psi: np.ndarray, n: int, work: np.ndarray) -> np.ndarray:
     """G[a, b] = sum_x p(x) s_a(x) s_b(x) over n bits, with p = |psi|^2,
     s_0 = 1 and s_{1+j} the sign of bit j: row 0 holds the total and the
@@ -127,7 +137,9 @@ def _sign_moments(psi: np.ndarray, n: int, work: np.ndarray) -> np.ndarray:
     h = n // 2
     W = 1 << (n - h)
     hi = _sign_table(h)
-    lo = _sign_table(n - h)[:, 1:]
+    # the whole table, ones column too: a sliced view would be copied by
+    # every product; the ones row and column are dropped from the results
+    lo = _sign_table(n - h)
     buf = work.view(np.float64)[: 1 << n]  # a power of two of at least W floats
     block = len(buf)
     rows = np.empty(1 << h)
@@ -144,10 +156,10 @@ def _sign_moments(psi: np.ndarray, n: int, work: np.ndarray) -> np.ndarray:
             cols += cols_part
             cross += cross_part
     G = np.empty((n + 1, n + 1))
-    G[: h + 1, : h + 1] = hi.T @ (rows[:, None] * hi)
-    G[h + 1 :, h + 1 :] = lo.T @ (cols[:, None] * lo)
-    G[: h + 1, h + 1 :] = cross
-    G[h + 1 :, : h + 1] = cross.T
+    G[: h + 1, : h + 1] = _weighted_gram(hi, rows)
+    G[h + 1 :, h + 1 :] = _weighted_gram(lo, cols)[1:, 1:]
+    G[: h + 1, h + 1 :] = cross[:, 1:]
+    G[h + 1 :, : h + 1] = cross[:, 1:].T
     return G
 
 

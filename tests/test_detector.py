@@ -139,12 +139,15 @@ def test_m_pb_ghz_policies():
     assert best <= 3 + EPS_DET
 
 
-def rotated_ghz(n: int, seed: int):
+def in_random_frames(state, seed: int):
     rng = np.random.default_rng(seed)
-    state = make_ghz(n)
-    for q in range(n):
+    for q in range(state.n):
         state = apply_local_unitary(state, q, su2_from_rotation(random_rotation(rng)))
     return state
+
+
+def rotated_ghz(n: int, seed: int):
+    return in_random_frames(make_ghz(n), seed)
 
 
 # maximize values (samples 16, samples 64; seed 0) computed with the search
@@ -170,6 +173,18 @@ def test_m_pb_maximize_golden_values(make, at_16, at_64):
     state = make()
     assert m_pb(state, ZeroPolicy.maximize(16, seed=0)) == pytest.approx(at_16, rel=1e-12)
     assert m_pb(state, ZeroPolicy.maximize(64, seed=0)) == pytest.approx(at_64, rel=1e-12)
+
+
+def test_maximize_best_value_needs_the_last_restart(monkeypatch):
+    # two Bell pairs in random frames: every Bloch vector is zero, and with
+    # one sampled axis per qubit the ascent from the z start and from the
+    # first three random starts sticks below the value the fourth reaches
+    bell = make_ghz(2)
+    state = in_random_frames(tensor_product(bell, bell), 0)
+    policy = ZeroPolicy.maximize(1, seed=5)
+    assert m_pb(state, policy) == pytest.approx(3.877782816409322, rel=1e-12)
+    monkeypatch.setattr(detector, "_MAXIMIZE_RESTARTS", detector._MAXIMIZE_RESTARTS - 1)
+    assert m_pb(state, policy) == pytest.approx(3.7179461957739797, rel=1e-12)
 
 
 def test_m_pb_maximize_without_zero_bloch_matches_canonical():
@@ -635,9 +650,11 @@ def test_consistency_checks_survive_python_O():
     script = """
 import entmon.detector as detector
 import entmon.families as families
+import entmon.partitions as partitions
 from entmon import make_dicke
 
-detector.s_threshold = lambda n, k: -1.0
+# the threshold families read s_threshold where it is defined
+partitions.s_threshold = lambda n, k: -1.0
 try:
     detector.exclusion_report(make_dicke(5, 1))
 except RuntimeError as exc:

@@ -242,6 +242,26 @@ def test_flip_kernel_allocates_no_casting_buffer():
     assert tensor._flip_tables(n)[1].dtype == np.bool_
 
 
+def test_sign_moments_hold_at_most_two_sign_tables():
+    # the sign moments multiply by the whole low sign table (a sliced view was
+    # copied by each product) and form each weighted table column by column
+    # (a broadcast product took a 64 KiB ufunc buffer beside it): about 115
+    # KiB at n = 19, where those copies held 235 KiB
+    n = 19
+    psi = make_random_haar(n, 19).amplitudes
+    work = np.empty(2 * tensor._CHUNK, dtype=np.complex128)
+    table = tensor._sign_table(n - n // 2)
+    first = tensor._sign_moments(psi, n, work)
+    tracemalloc.start()
+    try:
+        second = tensor._sign_moments(psi, n, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * table.nbytes
+    assert np.array_equal(first, second)
+
+
 def permuted(state: PureState, perm: list[int]) -> PureState:
     """State whose qubit i is the input's qubit perm[i]."""
     psi = state.amplitudes.reshape((2,) * state.n).transpose(perm)

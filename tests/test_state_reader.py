@@ -5,6 +5,8 @@ document both either return bit-identical amplitudes or raise the same
 message. The layout entmon writes must also take the chunked path, or the
 agreement would hold trivially.
 """
+import importlib
+import inspect
 import json
 import math
 import os
@@ -19,8 +21,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import entmon
+from entmon import detector
 from entmon import statevec as sv
-from entmon.cli import _load_state_file
+from entmon.cli import _load_state_file, main
+from entmon.families import dicke_m_pb
 
 WHITESPACE = ["", " ", "  ", "\n", "\n  ", "\t", "\r\n"]
 
@@ -283,6 +288,17 @@ def test_overflowing_number_on_chunked_path_is_not_finite():
         sv.state_from_json_bytes(data)
 
 
+def run_probe(probe: str, *args: str) -> list[str]:
+    """The words a fresh interpreter prints running ``probe`` with this
+    checkout's entmon."""
+    src = os.path.dirname(os.path.dirname(sv.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *args], check=True, capture_output=True, text=True, env=env, timeout=60,
+    )
+    return out.stdout.split()
+
+
 def test_orjson_is_imported_only_to_read_a_state_file(tmp_path):
     # the benchmark's set-up probe loads no state, so it must not pay for
     # orjson's import; the block reader must still use it
@@ -296,13 +312,65 @@ def test_orjson_is_imported_only_to_read_a_state_file(tmp_path):
         "entmon.cli._load_state_file(sys.argv[1])\n"
         "print('orjson' in sys.modules)\n"
     )
-    src = os.path.dirname(os.path.dirname(sv.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", probe, str(path)],
-        check=True, capture_output=True, text=True, env=env, timeout=60,
+    assert run_probe(probe, str(path)) == ["False", "True"]
+
+
+def test_numpy_is_imported_only_to_compute():
+    # the package, the parser, usage errors and the partition table are pure
+    # Python; the first numeric name loads NumPy
+    probe = (
+        "import contextlib, io, sys\n"
+        "import entmon, entmon.cli\n"
+        "print('numpy' in sys.modules)\n"
+        "entmon.cli.build_parser()\n"
+        "print('numpy' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    entmon.cli.main(['partitions', '--n', '7', '--m-value', '13.714', '--format', 'json'])\n"
+        "print('numpy' in sys.modules)\n"
+        "for argv in (['--help'], ['partitions', '--n', 'seven']):\n"
+        "    try:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "            entmon.cli.main(argv)\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "    print('numpy' in sys.modules)\n"
+        "entmon.make_ghz\n"
+        "print('numpy' in sys.modules)\n"
     )
-    assert out.stdout.split() == ["False", "True"]
+    assert run_probe(probe) == ["False"] * 5 + ["True"]
+
+
+def test_package_names_resolve_to_their_defining_modules(monkeypatch):
+    for name in entmon.__all__:
+        module = importlib.import_module(f"entmon.{entmon._EXPORTS[name]}")
+        obj = getattr(entmon, name)
+        assert obj is getattr(module, name)
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            assert obj.__module__ == module.__name__
+    assert len(entmon.__all__) == 49
+    assert set(entmon.__all__) <= set(dir(entmon))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        entmon.no_such_name  # noqa: B018
+    # resolved on every access, so a patch of the module is seen through it
+    spy = object()
+    monkeypatch.setattr(detector, "exclusion_report", spy)
+    assert entmon.exclusion_report is spy
+
+
+def test_submodule_resolves_without_a_prior_import():
+    probe = "import entmon\nprint(entmon.detector.__name__, entmon.families.__name__)\n"
+    assert run_probe(probe) == ["entmon.detector", "entmon.families"]
+
+
+@pytest.mark.parametrize("n, e", [(16, 1), (16, 5), (16, 8), (17, 6), (18, 1), (18, 9)])
+def test_dicke_file_m_pb_matches_the_closed_form(n, e, tmp_path, capsys):
+    # many equal amplitudes: an in-order norm drifts with their count (the
+    # Dicke(16, 8) file read 5.9e-12 off, Dicke(18, 9) 3.8e-11)
+    path = tmp_path / f"dicke-{n}-{e}.json"
+    path.write_text(json.dumps(sv.state_to_json_dict(sv.make_dicke(n, e))))
+    assert main(["analyze", "--state", str(path)]) == 0
+    value = json.loads(capsys.readouterr().out)["m_pb"]
+    assert abs(value - dicke_m_pb(n, e)) <= 1e-13
 
 
 def test_renormalization_warning_on_chunked_path():

@@ -24,11 +24,22 @@ from entmon import (
     partition_table,
     tensor_product,
 )
-from entmon import detector
+from entmon import detector, partitions
 from entmon.detector import _exceeds, _threshold_families
 
 ABOVE = 2e-9
 WITHIN = 5e-10  # inside the margin: still not a verdict
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_verdict_rule_is_strict_at_the_margin(n):
+    # the rule is value > bound + EPS_DET: a value at the bound plus the
+    # margin is no verdict, the next float above it is
+    eps = partitions.EPS_DET
+    for parts in partitions.enumerate_partitions(n):
+        b = partitions.partition_bound(parts)
+        assert not partitions._exceeds(b + eps, b)
+        assert partitions._exceeds(math.nextafter(b + eps, math.inf), b)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
