@@ -14,8 +14,7 @@ imports no NumPy, so ``entmon partitions`` runs without loading it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 # strict-inequality margin for every exclusion verdict: the criteria require
 # ">", and the margin keeps rounding from manufacturing entanglement claims
@@ -128,8 +127,7 @@ def min_entangled_block(n: int, k: int) -> int:
     return -(-n // (k - 1))
 
 
-@dataclass(frozen=True)
-class PartitionMaxRecord:
+class PartitionMaxRecord(NamedTuple):
     """Brute-force verification that the largest per-part pair-count sum over
     k-part partitions of n is C(n-k+1, 2), attained by (n-k+1, 1, ..., 1)."""
 

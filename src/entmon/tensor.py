@@ -1,9 +1,9 @@
 """Reduced density matrices, Bloch vectors, and two-qubit correlation blocks.
 
 ``marginals`` is the production path: it returns every Bloch vector and every
-3x3 pair block of a state, from a few products of small tables up to 10
-qubits, and beyond from one pass over the amplitude vector per qubit, taken
-in chunks with a few BLAS products each. It never copies the state: its
+3x3 pair block of a state, up to 10 qubits from one real Gram product of the
+state and its 3n Pauli images, and beyond from one pass over the amplitude
+vector per qubit, taken in chunks with a few BLAS products each. Its
 workspace stays below 1 MiB at any size (see its docstring for both
 kernels). The per-qubit and per-pair reductions (``reduced_density_single``,
 ``reduced_density_pair``, ``bloch_vector``, ``pair_block``) stay public as the
@@ -163,9 +163,9 @@ def _sign_moments(psi: np.ndarray, n: int, work: np.ndarray) -> np.ndarray:
     return G
 
 
-# marginals takes its moments from the flip tables up to this many qubits and
-# from chunked passes beyond: the measured crossover (see marginals)
-_FLIP_MAX_QUBITS = 10
+# marginals takes one Gram product of the Pauli images up to this many qubits
+# and chunked passes beyond: the measured crossover (see marginals)
+_PAULI_GRAM_MAX_QUBITS = 10
 # the strided kernel copies psi[x_k=0] and conj(psi[x_k=1]) in chunks of this
 # many amplitudes (256 KiB each) into its only two buffers
 _CHUNK = 1 << 14
@@ -183,72 +183,72 @@ def marginals(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     ``blocks[l, k] = blocks[k, l].T``; the unused diagonal ``blocks[k, k]``
     is zero. Both arrays are real and read-only.
 
-    With s_l = 1 - 2 x_l, p = |psi|^2 and c_k = psi[x_k=0] conj(psi[x_k=1]),
-    every entry with a z index is a signed sum: z_k = sum p s_k, zz_kl =
-    sum p s_k s_l, x_k - i y_k = 2 sum c_k and xz_kl - i yz_kl =
-    2 sum c_k s_l. The four in-plane entries come from
-    A = sum psi(..0..0..) conj psi(..1..1..) and
-    B = sum psi(..0..1..) conj psi(..1..0..), with qubits k < l marked.
-    Two kernels compute these moments and one assembly turns them into
-    blocks. Up to ``_FLIP_MAX_QUBITS`` = 10 qubits, ``_flip_moments`` reads
-    all of them from a few (n, 2**n) arrays in about ten NumPy calls, which
-    is what a small state costs; beyond, ``_strided_moments`` copies the
-    two halves of each qubit's bit through two buffers of ``_CHUNK`` = 2**14
-    amplitudes (512 KiB together) and takes every sum from a few BLAS
-    products per chunk, so a call holds no state-sized array of its own.
-    The threshold is the measured crossover. Per call, on a 2-core Xeon
-    with NumPy 2.4 and OpenBLAS (five runs of 301 alternating calls, each a
-    median), the tables are 4.6-6.7x faster at n = 4-8, 2.7x at n = 9 and
-    1.63-1.67x at n = 10, and 0.58-0.59x as fast at n = 11 and 0.41-0.42x
+    For a pure state these are inner products of its Pauli images:
+    b_k[i] = Re<psi|sigma_i^(k) psi> and T_kl[i][j] =
+    Re<sigma_i^(k) psi|sigma_j^(l) psi>. Up to ``_PAULI_GRAM_MAX_QUBITS`` =
+    10 qubits, ``_pauli_gram`` takes them all from one real Gram product of
+    psi and its 3n images, which is what a small state costs. Beyond,
+    ``_strided_moments`` copies the two halves of each qubit's bit through
+    two buffers of ``_CHUNK`` = 2**14 amplitudes (512 KiB together) and
+    takes every sum from a few BLAS products per chunk, so a call holds no
+    state-sized array of its own, and ``_assemble`` turns its moments into
+    blocks. The threshold is the measured crossover. Per call, on a 2-core
+    Xeon with NumPy 2.4 and OpenBLAS (three runs of seven alternating rounds
+    of 301 calls, 101 from n = 11, each a median), the Gram product is
+    9.3-13x faster at n = 3-7, 6.6-7.3x at n = 8, 4.1-4.8x at n = 9 and
+    1.8-2.5x at n = 10, level at n = 11 (0.90-1.21x) and 0.62-0.69x as fast
     at n = 12. The kernels sum in different orders, so their results agree
     to about 1e-15, not bit for bit. From 16 qubits on a half-state spans
     several chunks, whose sums are added up in turn.
     """
     n = state.n
-    moments = _flip_moments if n <= _FLIP_MAX_QUBITS else _strided_moments
-    return _assemble(*moments(state.amplitudes, n))
+    if n <= _PAULI_GRAM_MAX_QUBITS:
+        return _pauli_gram(state.amplitudes, n)
+    return _assemble(*_strided_moments(state.amplitudes, n))
 
 
 @lru_cache(maxsize=None)
-def _flip_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tables of n qubits: flip[k, z] is z with qubit k's bit flipped and
-    on[k, z] is True where that bit of z is 1 (both (n, 2**n)); upper[k, l]
-    is 1.0 for k < l, else 0.0."""
+def _pauli_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tables of n qubits, each (n, 2**n): flip[k, z] is z with qubit k's bit
+    flipped, sign[k, z] = 1 - 2 z_k and minus_i_sign = -1j * sign, both
+    complex, so that the products with the state cast nothing."""
     z = np.arange(1 << n)
     bit = 1 << np.arange(n - 1, -1, -1)[:, None]
-    tables = (z ^ bit, (z & bit) != 0, np.triu(np.ones((n, n)), 1))
+    sign = (1 - 2 * ((z & bit) != 0)).astype(np.complex128)
+    tables = (z ^ bit, sign, -1j * sign)
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
-def _flip_moments(psi: np.ndarray, n: int):
-    """The moments of ``marginals`` from the flipped copies of the state.
+def _pauli_gram(psi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``marginals``' output from one Gram product of the Pauli images.
 
-    With F[k, z] = psi(z ^ e_k), the mask on[k, z] = [z_k = 1], off = 1 - on
-    and the sign table T (column 0 ones, column 1 + l the sign of qubit l):
-    G = T^T (|psi|^2 T); c = (on F)(conj psi T), whose column 1 + k in row k
-    is -sum c_k and is never read; A = (on F)(off conj F)^T and
-    B = (on F)(on conj F)^T, kept for k < l. Substituting w = z ^ e_k turns
-    each entry of the last three into the sum the strided kernel takes over
-    psi[x_k=0].
+    The rows of V are psi, then X_k = psi(z ^ e_k), Y_k = -i s_k X_k and
+    Z_k = s_k psi for k = 0..n-1, each family in order. With F the float64
+    view of V, (F F^T)[a, b] = Re<V_a|V_b>, so row 0 holds the Bloch vectors
+    and the rest, regrouped by qubit, the pair blocks; the diagonal blocks
+    (the identity) are zeroed.
     """
-    T = _sign_table(n)
-    flip, on, upper = _flip_tables(n)
-    off_F = psi[flip]
-    # selected, not multiplied by a float mask, which NumPy would cast to
-    # complex in a buffer beside the result
-    on_F = np.where(on, off_F, 0)
-    off_F -= on_F  # exact: on_F is either F or zero
-    U = np.abs(psi)[:, None] * T
-    G = U.T @ U  # one operand twice: a symmetric product, so G is exactly symmetric
-    # the complex copy of T: NumPy would cast T to complex in a buffer anyway
-    c = on_F @ (np.conjugate(psi)[:, None] * _sign_table(n, np.complex128))
-    # conj(on F) = on conj F, so A = conj(conj(on F) (off F)^T)
-    on_F_c = np.conjugate(on_F)
-    A = np.conjugate(on_F_c @ off_F.T) * upper
-    B = (on_F @ on_F_c.T) * upper
-    return G, c, A, B
+    flip, sign, minus_i_sign = _pauli_tables(n)
+    V = np.empty((3 * n + 1, 1 << n), dtype=np.complex128)
+    V[0] = psi
+    X, Y, Z = V[1 : n + 1], V[n + 1 : 2 * n + 1], V[2 * n + 1 :]
+    # a take in the default mode="raise" would buffer its output
+    np.take(psi, flip, out=X, mode="wrap")
+    np.multiply(minus_i_sign, X, out=Y)
+    # psi copied, then signed in place: a product that broadcast psi over the
+    # rows would take a 128 KiB ufunc buffer
+    Z[...] = psi
+    np.multiply(Z, sign, out=Z)
+    F = V.view(np.float64)
+    G = F @ F.T  # one operand twice: a symmetric product, so G is exactly symmetric
+    bloch = np.ascontiguousarray(G[0, 1:].reshape(3, n).T)
+    blocks = np.ascontiguousarray(G[1:, 1:].reshape(3, n, 3, n).transpose(1, 3, 0, 2))
+    blocks[np.arange(n), np.arange(n)] = 0.0
+    bloch.setflags(write=False)
+    blocks.setflags(write=False)
+    return bloch, blocks
 
 
 @lru_cache(maxsize=None)
@@ -379,7 +379,7 @@ def _strided_moments(psi: np.ndarray, n: int):
 
 
 def _assemble(G: np.ndarray, c: np.ndarray, A: np.ndarray, B: np.ndarray):
-    """``marginals``' output from either kernel's moments: G[a, b] =
+    """``marginals``' output from the strided kernel's moments: G[a, b] =
     sum p s_a s_b over the sign table's columns (0 = ones, 1 + l = qubit l),
     c[k, 0] = sum c_k and c[k, 1 + l] = sum c_k s_l for l != k, and A and B
     for k < l only (zero elsewhere)."""

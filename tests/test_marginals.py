@@ -129,15 +129,16 @@ def test_kernel_matches_reductions_at_larger_n(n):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_flip_and_strided_kernels_agree(n):
-    # marginals takes the flip tables up to _FLIP_MAX_QUBITS and the strided
-    # passes beyond; each kernel sums in its own order
+    # marginals takes the Gram product of the flipped Pauli images up to
+    # _PAULI_GRAM_MAX_QUBITS and the strided passes beyond; each kernel sums
+    # in its own order, and both run at every n here
     names = fixtures(n) if n >= 2 else {"haar": make_random_haar(1, 3)}
     for name, state in names.items():
-        flip = tensor._assemble(*tensor._flip_moments(state.amplitudes, n))
+        gram = tensor._pauli_gram(state.amplitudes, n)
         strided = tensor._assemble(*tensor._strided_moments(state.amplitudes, n))
-        for a, b in zip(flip, strided):
+        for a, b in zip(gram, strided):
             assert np.max(np.abs(a - b)) < 1e-13, name
-        chosen = flip if n <= tensor._FLIP_MAX_QUBITS else strided
+        chosen = gram if n <= tensor._PAULI_GRAM_MAX_QUBITS else strided
         for a, b in zip(marginals(state), chosen):
             assert np.array_equal(a, b), name
 
@@ -170,8 +171,9 @@ def test_chunked_sums_match_one_pass(n, chunk, monkeypatch):
             assert np.max(np.abs(a - b), initial=0.0) < 1e-12, name
 
 
-# one kernel each side of the threshold, and the strided one over several chunks
-@pytest.mark.parametrize("n", [5, 11, 18])
+# the Gram kernel at its edges and inside, the strided one past the threshold
+# and over several chunks
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 11, 18])
 def test_kernel_outputs_are_read_only_real_and_symmetric(n):
     bloch, blocks = marginals(make_random_haar(n, 2))
     assert bloch.dtype == np.float64 and blocks.dtype == np.float64
@@ -223,23 +225,27 @@ def test_kernel_workspace_is_one_chunk_beyond_seventeen_qubits():
 
 
 def test_flip_kernel_allocates_no_casting_buffer():
-    # the flipped state is selected by a boolean mask and multiplied by the
-    # sign table's complex copy; a float operand would take a casting buffer
-    # beside each product (858 KiB peak at n = 10, against about 731)
+    # the Gram kernel's workspace is V, psi and its 3n Pauli images (496 KiB
+    # at n = 10), plus the copy of the read-only flip index table that
+    # np.take makes (80 KiB) and the small outputs. Complex sign tables cast
+    # nothing; a float one would take a casting buffer of at least 128 KiB
+    # beside its product, as would a product that broadcast psi over the
+    # rows, and a take in mode="raise" would buffer its 160 KiB output
     n = 10
     psi = make_random_haar(n, 10).amplitudes
-    first = tensor._flip_moments(psi, n)
+    first = tensor._pauli_gram(psi, n)
     tracemalloc.start()
     try:
-        second = tensor._flip_moments(psi, n)
+        second = tensor._pauli_gram(psi, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.75 * 2**20
+    images = (3 * n + 1) * 2**n * 16
+    assert peak < images + n * 2**n * 8 + 32 * 2**10
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
-    # a cast of the mask would come before the peak, so its dtype shows it
-    assert tensor._flip_tables(n)[1].dtype == np.bool_
+    _, sign, minus_i_sign = tensor._pauli_tables(n)
+    assert sign.dtype == minus_i_sign.dtype == np.complex128
 
 
 def test_sign_moments_hold_at_most_two_sign_tables():

@@ -317,27 +317,30 @@ def test_orjson_is_imported_only_to_read_a_state_file(tmp_path):
 
 def test_numpy_is_imported_only_to_compute():
     # the package, the parser, usage errors and the partition table are pure
-    # Python; the first numeric name loads NumPy
+    # Python, and load neither NumPy nor dataclasses (whose import of inspect
+    # costs about a sixth of the start); the first numeric name loads both
     probe = (
         "import contextlib, io, sys\n"
+        "def loaded():\n"
+        "    print(','.join(m for m in ('numpy', 'dataclasses') if m in sys.modules) or '-')\n"
         "import entmon, entmon.cli\n"
-        "print('numpy' in sys.modules)\n"
+        "loaded()\n"
         "entmon.cli.build_parser()\n"
-        "print('numpy' in sys.modules)\n"
+        "loaded()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    entmon.cli.main(['partitions', '--n', '7', '--m-value', '13.714', '--format', 'json'])\n"
-        "print('numpy' in sys.modules)\n"
+        "loaded()\n"
         "for argv in (['--help'], ['partitions', '--n', 'seven']):\n"
         "    try:\n"
         "        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         "            entmon.cli.main(argv)\n"
         "    except SystemExit:\n"
         "        pass\n"
-        "    print('numpy' in sys.modules)\n"
+        "    loaded()\n"
         "entmon.make_ghz\n"
-        "print('numpy' in sys.modules)\n"
+        "loaded()\n"
     )
-    assert run_probe(probe) == ["False"] * 5 + ["True"]
+    assert run_probe(probe) == ["-"] * 5 + ["numpy,dataclasses"]
 
 
 def test_package_names_resolve_to_their_defining_modules(monkeypatch):
